@@ -156,13 +156,8 @@ fn main() {
             };
             let matrix = e11_matrix(models, ProofMode::Certified);
             let all: Vec<usize> = (0..matrix.cells().len()).collect();
-            let (proved, stats) = matrix.run_subset_cached(
-                tp_sched::global(),
-                &all,
-                &mut cache,
-                |cell| canonical_scenario(cell.disable),
-                |_, _, _| {},
-            );
+            let (proved, stats, _) =
+                tp_bench::run_matrix_cells(&matrix, &all, Some(&mut cache), None, |_, _, _| {});
             eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
             if let Err(e) =
                 tp_core::persist::write_atomic(std::path::Path::new(path), cache.save().as_bytes())

@@ -75,7 +75,7 @@ fn main() {
         return;
     }
 
-    let matrix = tp_bench::shaped_matrix(args.models).with_replay_check(args.replay_check);
+    let matrix = tp_bench::shaped_matrix(args.models).with_mode(args.mode());
     let indices = match args.select_cells(matrix.cells().len()) {
         Ok(v) => v,
         Err(e) => {
@@ -101,7 +101,7 @@ fn main() {
         run_journaled(&matrix, &indices, path, args.resume.is_some(), progress)
     } else {
         match &args.cache {
-            None => tp_bench::run_matrix_cells(&matrix, &indices, progress),
+            None => tp_bench::run_matrix_cells(&matrix, &indices, None, None, progress).0,
             Some(path) => {
                 // A missing cache file is a cold start, not an error; a
                 // malformed one is untrusted input and fails loudly rather
@@ -122,8 +122,8 @@ fn main() {
                         std::process::exit(2);
                     }
                 };
-                let (proved, stats) =
-                    tp_bench::run_matrix_cells_cached(&matrix, &indices, &mut cache, progress);
+                let (proved, stats, _) =
+                    tp_bench::run_matrix_cells(&matrix, &indices, Some(&mut cache), None, progress);
                 eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
                 // Atomic replace: a crash mid-persist must leave the
                 // previous cache intact, never a torn file that bricks
@@ -214,8 +214,13 @@ fn run_journaled(
             std::process::exit(2);
         }
     };
-    let (proved, stats, jerr) =
-        tp_bench::run_matrix_cells_journaled(matrix, indices, &mut cache, &mut writer, progress);
+    let (proved, stats, jerr) = tp_bench::run_matrix_cells(
+        matrix,
+        indices,
+        Some(&mut cache),
+        Some(&mut writer),
+        progress,
+    );
     if let Some(e) = jerr {
         eprintln!(
             "matrix: journal append failed: {e} \

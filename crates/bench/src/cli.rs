@@ -9,7 +9,9 @@
 //! * `--cells SPEC` — restrict the matrix to the given cell indices,
 //!   e.g. `--cells 0..7`, `--cells 3`, `--cells 0..4,9,12..14`
 //!   (`a..b` is half-open). This is also how a sweep is sharded across
-//!   processes: give each worker a disjoint slice.
+//!   processes: give each worker a disjoint slice. A spec naming an
+//!   index at or above [`MAX_CELL_INDEX`] is a usage error, caught
+//!   before the spec is expanded.
 //! * `--models N` — use only the first `N` of the default time models.
 //! * `--replay-check` — re-enable the paranoid double-run per
 //!   (model, secret) instead of the certified single-run default: every
@@ -175,6 +177,16 @@ impl SweepArgs {
         Ok(out)
     }
 
+    /// The proof mode `--replay-check` selects: the paranoid
+    /// double-run audit, or the certified single-run default.
+    pub fn mode(&self) -> tp_core::ProofMode {
+        if self.replay_check {
+            tp_core::ProofMode::ReplayCheck
+        } else {
+            tp_core::ProofMode::Certified
+        }
+    }
+
     /// The cell indices to run given a matrix of `total` cells: the
     /// `--cells` selection (validated against `total`) or all of them.
     pub fn select_cells(&self, total: usize) -> Result<Vec<usize>, String> {
@@ -192,34 +204,53 @@ impl SweepArgs {
     }
 }
 
+/// Upper bound (exclusive) on any index a cell spec may name — far
+/// above every matrix this crate builds. Specs arrive from the command
+/// line and the `tp-serve` wire, so they are checked against it before
+/// expansion: a hostile range costs an error, not an allocation
+/// proportional to its width.
+pub const MAX_CELL_INDEX: usize = 1 << 16;
+
 /// Expand a cell spec: comma-separated indices and half-open `a..b`
 /// ranges, e.g. `0..4,9,12..14` → `[0,1,2,3,9,12,13]`. Duplicates are
-/// rejected so shard specs cannot silently double-prove a cell.
+/// rejected so shard specs cannot silently double-prove a cell, and so
+/// are indices at or above [`MAX_CELL_INDEX`]; both checks run before
+/// anything is expanded, so the result never exceeds
+/// [`MAX_CELL_INDEX`] entries.
 pub fn parse_cell_spec(spec: &str) -> Result<Vec<usize>, String> {
     let mut out = Vec::new();
+    let mut seen = std::collections::BTreeSet::new();
     for part in spec.split(',') {
         let part = part.trim();
         if part.is_empty() {
             return Err(format!("empty segment in cell spec {spec:?}"));
         }
-        if let Some((a, b)) = part.split_once("..") {
-            let a: usize = a.parse().map_err(|_| format!("bad range start {a:?}"))?;
-            let b: usize = b.parse().map_err(|_| format!("bad range end {b:?}"))?;
-            if a >= b {
-                return Err(format!("empty range {part:?}"));
+        let (a, b) = match part.split_once("..") {
+            Some((a, b)) => {
+                let a: usize = a.parse().map_err(|_| format!("bad range start {a:?}"))?;
+                let b: usize = b.parse().map_err(|_| format!("bad range end {b:?}"))?;
+                if a >= b {
+                    return Err(format!("empty range {part:?}"));
+                }
+                (a, b)
             }
-            out.extend(a..b);
-        } else {
-            out.push(
-                part.parse()
-                    .map_err(|_| format!("bad cell index {part:?}"))?,
-            );
+            None => {
+                let i: usize = part
+                    .parse()
+                    .map_err(|_| format!("bad cell index {part:?}"))?;
+                (i, i.saturating_add(1))
+            }
+        };
+        if b > MAX_CELL_INDEX {
+            return Err(format!(
+                "cell spec segment {part:?} out of range (indices must be below {MAX_CELL_INDEX})"
+            ));
         }
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for &i in &out {
-        if !seen.insert(i) {
-            return Err(format!("cell index {i} selected twice in {spec:?}"));
+        for i in a..b {
+            if !seen.insert(i) {
+                return Err(format!("cell index {i} selected twice in {spec:?}"));
+            }
+            out.push(i);
         }
     }
     Ok(out)
@@ -257,7 +288,9 @@ mod tests {
     fn parses_replay_check() {
         let a = SweepArgs::parse(strs(&["--replay-check"])).unwrap();
         assert!(a.replay_check);
+        assert_eq!(a.mode(), tp_core::ProofMode::ReplayCheck);
         assert!(!SweepArgs::default().replay_check);
+        assert_eq!(SweepArgs::default().mode(), tp_core::ProofMode::Certified);
         // Composes with worker mode: an audit shard is a valid shard.
         let w = SweepArgs::parse(strs(&["--worker", "--replay-check"])).unwrap();
         assert!(w.worker && w.replay_check);
@@ -326,6 +359,23 @@ mod tests {
         assert!(parse_cell_spec("1,1").is_err());
         assert!(parse_cell_spec("x").is_err());
         assert!(parse_cell_spec("0..2,1").is_err(), "overlap is a duplicate");
+    }
+
+    /// Hostile specs fail before expansion: a range far past any matrix
+    /// is rejected without allocating its width, and repeating the
+    /// widest legal range stops at the first duplicate.
+    #[test]
+    fn rejects_huge_specs_before_expanding() {
+        for spec in ["0..4000000000", "4000000000", "18446744073709551615"] {
+            let e = parse_cell_spec(spec).unwrap_err();
+            assert!(e.contains("out of range"), "{spec}: {e}");
+        }
+        let e = SweepArgs::parse(strs(&["--cells", "0..4000000000"])).unwrap_err();
+        assert!(e.contains("out of range"), "{e}");
+        let widest = format!("0..{MAX_CELL_INDEX}");
+        assert_eq!(parse_cell_spec(&widest).unwrap().len(), MAX_CELL_INDEX);
+        let e = parse_cell_spec(&[widest.as_str(); 1000].join(",")).unwrap_err();
+        assert!(e.contains("selected twice"), "{e}");
         assert!(SweepArgs::parse(strs(&["--threads", "0"])).is_err());
         assert!(SweepArgs::parse(strs(&["--bogus"])).is_err());
     }

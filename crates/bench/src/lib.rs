@@ -762,7 +762,7 @@ pub fn report_e14(max_len: usize) -> String {
 pub fn report_matrix() -> String {
     let matrix = canonical_matrix();
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
-    let proved = run_matrix_cells(&matrix, &all, |_, _, _| {});
+    let (proved, _, _) = run_matrix_cells(&matrix, &all, None, None, |_, _, _| {});
     render_matrix_report(&tp_core::MatrixReport {
         cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
     })
@@ -775,90 +775,24 @@ pub fn report_matrix() -> String {
 /// long sweeps show life without disturbing the report (or wire
 /// records) on stdout; the counts also feed the `--progress` ETA
 /// heartbeat.
+///
+/// With a `cache`, validated hits replay their stored reports, only
+/// changed cells are proved live, and freshly proved cells are inserted
+/// back; output (reports, progress lines, and anything serialised from
+/// the returned triples) stays byte-identical to the uncached path, and
+/// the hit/re-prove statistics come back for the caller to print on
+/// stderr. A `journal` (which needs a `cache`: it records what the
+/// cache would insert) gets every freshly proved cacheable cell
+/// appended — fsynced — the moment it completes, so a killed process
+/// loses at most the cell in flight. Journal I/O failures do **not**
+/// abort the sweep: the first error is returned for the caller to
+/// report, and further appends are skipped rather than spamming a sick
+/// disk.
 pub fn run_matrix_cells(
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
-    mut progress: impl FnMut(usize, usize, &str),
-) -> Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)> {
-    let total = indices.len();
-    let mut done = 0usize;
-    matrix.run_subset_streamed(
-        tp_sched::global(),
-        indices,
-        |cell| canonical_scenario(cell.disable),
-        |ci, cell, r| {
-            done += 1;
-            progress(
-                done,
-                total,
-                &format!(
-                    "[{done}/{total}] cell {ci}: {:<28} {}",
-                    cell.label(),
-                    if r.time_protection_proved() {
-                        "PROVED"
-                    } else {
-                        "NOT proved"
-                    }
-                ),
-            );
-        },
-    )
-}
-
-/// [`run_matrix_cells`] backed by the content-addressed proof cache:
-/// validated hits replay their stored reports, only changed cells are
-/// proved live, and freshly proved cells are inserted back into
-/// `cache`. Output (reports, progress lines, and anything serialised
-/// from the returned triples) is byte-identical to the uncached path;
-/// the hit/re-prove statistics come back for the caller to print on
-/// stderr, never on stdout.
-pub fn run_matrix_cells_cached(
-    matrix: &tp_core::ScenarioMatrix,
-    indices: &[usize],
-    cache: &mut tp_core::ProofCache,
-    mut progress: impl FnMut(usize, usize, &str),
-) -> (
-    Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)>,
-    tp_core::CacheStats,
-) {
-    let total = indices.len();
-    let mut done = 0usize;
-    matrix.run_subset_cached(
-        tp_sched::global(),
-        indices,
-        cache,
-        |cell| canonical_scenario(cell.disable),
-        |ci, cell, r| {
-            done += 1;
-            progress(
-                done,
-                total,
-                &format!(
-                    "[{done}/{total}] cell {ci}: {:<28} {}",
-                    cell.label(),
-                    if r.time_protection_proved() {
-                        "PROVED"
-                    } else {
-                        "NOT proved"
-                    }
-                ),
-            );
-        },
-    )
-}
-
-/// [`run_matrix_cells_cached`] with crash-safe checkpointing: every
-/// freshly proved cacheable cell is appended to `journal` — fsynced —
-/// the moment it completes, so a killed process loses at most the cell
-/// in flight. Journal I/O failures do **not** abort the sweep (the
-/// journal is belt-and-braces; the proof output stays correct): the
-/// first error is returned for the caller to report, and further
-/// appends are skipped rather than spamming a sick disk.
-pub fn run_matrix_cells_journaled(
-    matrix: &tp_core::ScenarioMatrix,
-    indices: &[usize],
-    cache: &mut tp_core::ProofCache,
-    journal: &mut tp_core::JournalWriter,
+    cache: Option<&mut tp_core::ProofCache>,
+    mut journal: Option<&mut tp_core::JournalWriter>,
     mut progress: impl FnMut(usize, usize, &str),
 ) -> (
     Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)>,
@@ -867,6 +801,16 @@ pub fn run_matrix_cells_journaled(
 ) {
     let total = indices.len();
     let mut done = 0usize;
+    let on_cell = |ci: usize, cell: &tp_core::MatrixCell, r: &tp_core::ProofReport| {
+        done += 1;
+        let verdict = if r.time_protection_proved() {
+            "PROVED"
+        } else {
+            "NOT proved"
+        };
+        let line = format!("[{done}/{total}] cell {ci}: {:<28} {verdict}", cell.label());
+        progress(done, total, &line);
+    };
     let mut jerr: Option<std::io::Error> = None;
     let mut on_proved = |i: usize,
                          cell: &tp_core::MatrixCell,
@@ -875,33 +819,26 @@ pub fn run_matrix_cells_journaled(
         if jerr.is_some() {
             return;
         }
-        if let Err(e) = journal.append(i, cell, report, meta) {
-            jerr = Some(e);
+        if let Some(j) = journal.as_deref_mut() {
+            jerr = j.append(i, cell, report, meta).err();
         }
     };
-    let (proved, stats) = matrix.run_subset_journaled(
-        tp_sched::global(),
-        indices,
-        cache,
-        |cell| canonical_scenario(cell.disable),
-        |ci, cell, r| {
-            done += 1;
-            progress(
-                done,
-                total,
-                &format!(
-                    "[{done}/{total}] cell {ci}: {:<28} {}",
-                    cell.label(),
-                    if r.time_protection_proved() {
-                        "PROVED"
-                    } else {
-                        "NOT proved"
-                    }
-                ),
-            );
-        },
-        Some(&mut on_proved),
-    );
+    let scenario = |cell: &tp_core::MatrixCell| canonical_scenario(cell.disable);
+    let pool = tp_sched::global();
+    let (proved, stats) = match cache {
+        Some(cache) => matrix.run_subset_journaled(
+            pool,
+            indices,
+            cache,
+            scenario,
+            on_cell,
+            Some(&mut on_proved),
+        ),
+        None => (
+            matrix.run_subset_streamed(pool, indices, scenario, on_cell),
+            tp_core::CacheStats::default(),
+        ),
+    };
     (proved, stats, jerr)
 }
 

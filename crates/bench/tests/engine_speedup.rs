@@ -9,7 +9,7 @@
 //! while any genuine multi-core runner still enforces the 2× bar.
 
 use tp_bench::{canonical_machine, canonical_scenario, time_iters};
-use tp_core::engine::{available_threads, parallel_map, prove_parallel, ScenarioMatrix};
+use tp_core::engine::{available_threads, prove_parallel, ProofMode, ScenarioMatrix};
 use tp_core::proof::{default_time_models, prove};
 use tp_sched::WorkerPool;
 
@@ -23,11 +23,12 @@ fn spin(rounds: u64) -> u64 {
 }
 
 /// Measured parallel speedup ceiling of this host: N independent spin
-/// tasks run sequentially vs on the pool.
+/// tasks on a one-worker pool vs a `threads`-worker pool.
 fn calibration_speedup(threads: usize) -> f64 {
     let tasks: Vec<u64> = vec![2_000_000; 4 * threads.max(1)];
-    let seq = time_iters(3, || parallel_map(&tasks, 1, |_, &r| spin(r))).1;
-    let par = time_iters(3, || parallel_map(&tasks, threads, |_, &r| spin(r))).1;
+    let (one, many) = (WorkerPool::new(1), WorkerPool::new(threads));
+    let seq = time_iters(3, || one.map(tasks.clone(), |_, r| spin(r))).1;
+    let par = time_iters(3, || many.map(tasks.clone(), |_, r| spin(r))).1;
     seq.as_secs_f64() / par.as_secs_f64()
 }
 
@@ -98,18 +99,20 @@ fn certified_single_run_halves_replay_check_work_on_the_e11_sweep() {
     // Two time models keep a double-run sweep test-profile friendly;
     // the per-cell work ratio (7 runs vs 12) is model-count agnostic.
     let models = default_time_models()[..2].to_vec();
-    let matrix = |replay_check: bool| {
+    let matrix = |mode: ProofMode| {
         ScenarioMatrix::new("canonical", canonical_machine())
             .sweep_ablations()
             .with_models(models.clone())
-            .with_replay_check(replay_check)
+            .with_mode(mode)
     };
 
     // Functional gate first: both modes must produce bit-identical
     // reports — certificates included — or timing them is meaningless.
     let pool = WorkerPool::new(1);
-    let certified = matrix(false).run_on(&pool, |cell| canonical_scenario(cell.disable));
-    let audited = matrix(true).run_on(&pool, |cell| canonical_scenario(cell.disable));
+    let certified =
+        matrix(ProofMode::Certified).run_on(&pool, |cell| canonical_scenario(cell.disable));
+    let audited =
+        matrix(ProofMode::ReplayCheck).run_on(&pool, |cell| canonical_scenario(cell.disable));
     assert_eq!(
         certified, audited,
         "certified and replay-check E11 sweeps must agree bit for bit"
@@ -133,11 +136,11 @@ fn certified_single_run_halves_replay_check_work_on_the_e11_sweep() {
     let mut ratios = Vec::new();
     for attempt in 0..3 {
         let t_certified = time_iters(3, || {
-            matrix(false).run_on(&pool, |cell| canonical_scenario(cell.disable))
+            matrix(ProofMode::Certified).run_on(&pool, |cell| canonical_scenario(cell.disable))
         })
         .1;
         let t_audited = time_iters(3, || {
-            matrix(true).run_on(&pool, |cell| canonical_scenario(cell.disable))
+            matrix(ProofMode::ReplayCheck).run_on(&pool, |cell| canonical_scenario(cell.disable))
         })
         .1;
         let ratio = t_certified.as_secs_f64() / t_audited.as_secs_f64();

@@ -25,16 +25,23 @@
 //!   configurations (cache geometry, core counts), mechanism ablations
 //!   and time models, flattens the whole sweep into **one**
 //!   (cell × model × secret) task list, and proves every cell in one
-//!   submission. [`ScenarioMatrix::run_streamed`] additionally hands
-//!   each cell's report to the caller in deterministic cell order as
-//!   soon as it completes, so report generators can stream.
+//!   submission.
 //!
-//! Each driver comes in three flavours sharing one task/merge core:
-//! the default (the process-wide [`tp_sched::global`] pool — no per-call
-//! thread spawning), an `_on` variant taking an explicit
-//! [`WorkerPool`], and a `_scoped` variant that spawns a scoped pool
-//! per call (the pre-`tp-sched` behaviour, kept as a comparison
-//! baseline for the determinism and performance harnesses).
+//! A matrix has exactly one sweep driver, [`ScenarioMatrix::run_subset`]:
+//! it takes an optional [`ProofCache`] and an optional checkpoint hook
+//! ([`OnProved`]), streams each cell to the caller in deterministic
+//! order as soon as it is merged, and contains faults — a cell whose
+//! proof panics comes back as `Err(message)` while its siblings still
+//! prove. [`ScenarioMatrix::run`], [`ScenarioMatrix::run_on`],
+//! [`ScenarioMatrix::run_subset_streamed`],
+//! [`ScenarioMatrix::run_subset_cached`] and
+//! [`ScenarioMatrix::run_subset_journaled`] are short unwraps over it
+//! that panic at the first failed cell, after every earlier cell has
+//! streamed. The sequential [`crate::proof::prove`] and
+//! [`crate::exhaustive::check_exhaustive`] are the single oracle every
+//! driver is pinned against; each driver runs on the process-wide
+//! [`tp_sched::global`] pool or, in its `_on` variant, an explicit
+//! [`WorkerPool`].
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,51 +73,6 @@ use tp_sched::{OrderedResults, WorkerPool};
 use tp_telemetry::{Counter, SpanKind};
 
 pub use tp_sched::available_threads;
-
-/// Map `f` over `items` on a pool of `threads` scoped worker threads,
-/// returning results in item order. Workers claim items through an
-/// atomic cursor, so scheduling is dynamic but the output is
-/// position-stable — the foundation of the engine's determinism.
-/// Results flow back through the same ordered-results channel the
-/// persistent pool streams over ([`tp_sched::OrderedResults`]), so the
-/// engine has exactly one result-collection path.
-///
-/// This is the legacy spawn-per-call primitive; the default drivers now
-/// run on the persistent [`tp_sched::global`] pool and only the
-/// `_scoped` comparison paths still use it. A panicking worker
-/// propagates its panic to the caller, matching the sequential
-/// checkers' failure mode.
-pub fn parallel_map<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, it)| f(i, it)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|s| {
-        let (next, f) = (&next, &f);
-        for _ in 0..threads {
-            let tx = tx.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, &items[i])));
-                // A send failure means the consumer already panicked
-                // (and dropped the stream); nothing left to deliver to.
-                let _ = tx.send((i, r));
-            });
-        }
-        drop(tx);
-        OrderedResults::from_channel(rx, items.len()).collect()
-    })
-}
 
 // ---------------------------------------------------------------------
 // Proof sharding
@@ -378,14 +340,26 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
     }
 }
 
-/// Number of engine tasks one proof submits under `mode`.
-fn proof_task_count(models: usize, secrets: usize, mode: ProofMode) -> usize {
-    models * secrets
-        + match mode {
-            ProofMode::Certified | ProofMode::CertifiedRecording => 1,
-            ProofMode::ReplayCheck => 0,
+/// Submit `tasks` to `pool` as one batch, each timed from submission
+/// to start as a `queue-wait` span; outputs stream back in submission
+/// order.
+fn submit_engine_tasks(
+    pool: &WorkerPool,
+    tasks: Vec<EngineTask>,
+    mode: ProofMode,
+) -> OrderedResults<TaskOutput> {
+    let queued = tp_telemetry::span_start();
+    pool.map_streamed(tasks, move |_, t| {
+        if let Some(q) = queued {
+            tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
         }
+        run_engine_task(t, mode)
+    })
 }
+
+/// Each (model, secret) run's `(secret, lo_len, monitored_digest)`
+/// observation fingerprint, model-major.
+type Fingerprints = Vec<(u64, usize, u64)>;
 
 /// Merge one proof's task outputs (consumed from `it` in submission
 /// order) into a [`ProofReport`] identical to the sequential `prove`:
@@ -409,7 +383,7 @@ fn merge_proof_stream(
     mode: ProofMode,
     runs: &[ProofTask],
     it: &mut impl Iterator<Item = TaskOutput>,
-) -> (ProofReport, Vec<(u64, usize, u64)>) {
+) -> (ProofReport, Fingerprints) {
     let cert_replay = match mode {
         ProofMode::Certified | ProofMode::CertifiedRecording => match it.next() {
             Some(TaskOutput::Cert(d)) => Some(d),
@@ -541,56 +515,14 @@ pub fn prove_parallel_mode(
     check_proof_inputs(scenario, models);
     let aisa = check_conformance(&scenario.mcfg);
     let batch = proof_tasks(scenario, models, mode, 0);
-    let queued = tp_telemetry::span_start();
-    let outputs = pool.map(batch.tasks, move |_, t| {
-        if let Some(q) = queued {
-            tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-        }
-        run_engine_task(t, mode)
-    });
+    let mut outputs = submit_engine_tasks(pool, batch.tasks, mode);
     merge_proof_stream(
         aisa,
         models,
         &scenario.secrets,
         mode,
         &batch.runs,
-        &mut outputs.into_iter(),
-    )
-    .0
-}
-
-/// [`prove_parallel`] on a scoped spawn-per-call pool of `threads`
-/// workers — the pre-`tp-sched` execution path, kept as the comparison
-/// baseline the determinism harness checks the pool against.
-pub fn prove_parallel_scoped(
-    scenario: &NiScenario,
-    models: &[TimeModel],
-    threads: usize,
-) -> ProofReport {
-    prove_parallel_scoped_mode(scenario, models, threads, ProofMode::Certified)
-}
-
-/// [`prove_parallel_scoped`] with an explicit [`ProofMode`].
-pub fn prove_parallel_scoped_mode(
-    scenario: &NiScenario,
-    models: &[TimeModel],
-    threads: usize,
-    mode: ProofMode,
-) -> ProofReport {
-    check_proof_inputs(scenario, models);
-    let aisa = check_conformance(&scenario.mcfg);
-    let batch = proof_tasks(scenario, models, mode, 0);
-    // Tasks clone at pointer cost: their configs are Arc-shared.
-    let outputs = parallel_map(&batch.tasks, threads, |_, t| {
-        run_engine_task(t.clone(), mode)
-    });
-    merge_proof_stream(
-        aisa,
-        models,
-        &scenario.secrets,
-        mode,
-        &batch.runs,
-        &mut outputs.into_iter(),
+        &mut outputs,
     )
     .0
 }
@@ -789,55 +721,6 @@ pub fn check_exhaustive_parallel_mode(
     merge_exhaustive_candidates(found.into_iter().flatten(), total)
 }
 
-/// [`check_exhaustive_parallel`] on a scoped spawn-per-call pool — the
-/// pre-`tp-sched`, fully recording execution path, kept as a comparison
-/// baseline for both the scheduler and the digest-first optimisation.
-pub fn check_exhaustive_parallel_scoped(
-    cfg: &ExhaustiveConfig,
-    threads: usize,
-) -> ExhaustiveVerdict {
-    let runner = ExhaustiveRunner::new(cfg);
-    let baseline = ExhBaseline::new(&runner, ExhaustiveMode::Recording);
-    let total = space_size(cfg.alphabet.len(), cfg.max_len);
-
-    // No point spawning more workers than there are blocks to claim.
-    let threads = threads.max(1).min(total.div_ceil(EXH_BLOCK).max(1));
-    let next_block = AtomicUsize::new(0);
-    let best = AtomicUsize::new(usize::MAX);
-    let candidates: std::sync::Mutex<Vec<ExhCandidate>> = std::sync::Mutex::new(Vec::new());
-
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let start = 1 + next_block.fetch_add(1, Ordering::Relaxed) * EXH_BLOCK;
-                if start > total {
-                    break;
-                }
-                // Blocks are claimed in increasing index order, so once a
-                // leak below this block exists nothing later can beat it.
-                if start > best.load(Ordering::Relaxed) {
-                    break;
-                }
-                let end = (start + EXH_BLOCK - 1).min(total);
-                if let Some(c) = scan_exhaustive_block(
-                    &runner,
-                    &cfg.alphabet,
-                    cfg.max_len,
-                    &baseline,
-                    &best,
-                    start,
-                    end,
-                ) {
-                    candidates.lock().expect("candidate list poisoned").push(c);
-                }
-            });
-        }
-    });
-
-    let found = candidates.into_inner().expect("candidate list poisoned");
-    merge_exhaustive_candidates(found, total)
-}
-
 // ---------------------------------------------------------------------
 // Scenario matrix
 // ---------------------------------------------------------------------
@@ -888,19 +771,6 @@ impl ScenarioMatrix {
             models: crate::proof::default_time_models(),
             mode: ProofMode::Certified,
         }
-    }
-
-    /// Re-enable the paranoid double-run per (model, secret) — the
-    /// `--replay-check` audit path. Reports stay bit-identical to
-    /// certified mode as long as monitoring is transparent (which the
-    /// certificate in every report pins).
-    pub fn with_replay_check(mut self, enabled: bool) -> Self {
-        self.mode = if enabled {
-            ProofMode::ReplayCheck
-        } else {
-            ProofMode::Certified
-        };
-        self
     }
 
     /// Prove every cell under an explicit [`ProofMode`] —
@@ -1052,291 +922,55 @@ impl ScenarioMatrix {
     where
         F: Fn(&MatrixCell) -> NiScenario,
     {
-        self.run_streamed(pool, make_scenario, |_, _, _| {})
-    }
-
-    /// [`ScenarioMatrix::run`], streaming each cell's finished report
-    /// to `on_cell` **in deterministic cell order** as soon as the cell
-    /// completes — cell 0 can be rendered while cell 40 is still
-    /// running. The returned [`MatrixReport`] is identical to
-    /// [`ScenarioMatrix::run`]'s.
-    pub fn run_streamed<F, C>(
-        &self,
-        pool: &WorkerPool,
-        make_scenario: F,
-        mut on_cell: C,
-    ) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
         let all: Vec<usize> = (0..self.cells().len()).collect();
-        let proved = self.run_subset_streamed(pool, &all, make_scenario, &mut on_cell);
+        let proved = self.run_subset_streamed(pool, &all, make_scenario, |_, _, _| {});
         MatrixReport {
             cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
         }
     }
 
-    /// Prove only the cells at `indices` (positions in
-    /// [`ScenarioMatrix::cells`] order), flattened into one task-list
-    /// submission, streaming each finished cell to `on_cell` in
-    /// `indices` order. Returns `(global index, cell, report)` triples.
+    /// The engine's one sweep driver: prove the cells at `indices`
+    /// (positions in [`ScenarioMatrix::cells`] order), flattened into
+    /// one task-list submission on `pool`, streaming each cell's outcome
+    /// to `on_cell` **in `indices` order** as soon as the cell is merged
+    /// — cell 0 can be rendered while cell 40 is still running. Returns
+    /// `(global index, cell, outcome)` for every selected cell.
     ///
-    /// This is the multi-process sharding primitive: a `sched-worker`
-    /// process proves its slice of the matrix with this and serialises
-    /// the triples ([`crate::wire`]); the merge step reassembles the
-    /// full report, identical to a single-process run.
+    /// * **Cache.** With `Some(cache)`, each cell's content key
+    ///   ([`crate::cache::cell_key`]) is looked up first and a
+    ///   **validated** hit replays the stored report without running
+    ///   anything; misses (absent, rejected or uncacheable cells) are
+    ///   proved live, and freshly proved cacheable cells are inserted
+    ///   back with their observation fingerprints. A hit's report equals
+    ///   the live one whenever the key matches, and a hit that fails
+    ///   validation degrades to a live re-prove — a bad cache can cost
+    ///   time, never change output. `None` proves every cell live,
+    ///   leaves [`CacheStats`] zero and counts no cache telemetry.
+    /// * **Checkpoint hook.** `on_proved` fires once per freshly proved
+    ///   cacheable cell — after the merge, right before the cache insert
+    ///   — with the exact [`CachedMeta`] the cache stores, which is what
+    ///   a [`crate::journal::JournalWriter`] appends. Hits, uncacheable
+    ///   cells, failed cells and uncached sweeps never reach it, so a
+    ///   resumed run journals only what it actually re-proved.
+    /// * **Fault containment.** A cell whose proof panics yields
+    ///   `Err(panic message)` in its slot instead of unwinding into the
+    ///   caller; the remaining cells still complete, stream and populate
+    ///   the cache, and the failed cell is never cached, so a
+    ///   resubmission re-proves it. This covers both places a proof can
+    ///   panic: the sharded engine tasks (contained by the pool and
+    ///   delivered through [`tp_sched::OrderedResults::next_outcome`];
+    ///   the stream stays aligned because every task reports exactly one
+    ///   outcome) and the consumer-side merge, where digest-divergence
+    ///   lockstep re-runs execute.
     ///
-    /// Out-of-range indices panic — shards are derived from the same
-    /// matrix constructor on every host, so a mismatch is a driver bug.
-    pub fn run_subset_streamed<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        make_scenario: F,
-        mut on_cell: C,
-    ) -> Vec<(usize, MatrixCell, ProofReport)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
-        let all = self.cells();
-        let mode = self.mode;
-        // Flatten every selected cell into the one task list; remember
-        // each cell's shard inputs and conformance for the ordered
-        // merge (and for digest-divergence re-runs).
-        let mut tasks = Vec::new();
-        let mut meta = Vec::with_capacity(indices.len());
-        for &ci in indices {
-            let cell = &all[ci];
-            let scenario = apply_cell(make_scenario(cell), cell);
-            check_proof_inputs(&scenario, &self.models);
-            let batch = proof_tasks(&scenario, &self.models, mode, ci);
-            debug_assert_eq!(
-                batch.tasks.len(),
-                proof_task_count(self.models.len(), scenario.secrets.len(), mode)
-            );
-            meta.push((
-                ci,
-                check_conformance(&cell.mcfg),
-                scenario.secrets.clone(),
-                batch.runs,
-            ));
-            tasks.extend(batch.tasks);
-        }
-
-        let queued = tp_telemetry::span_start();
-        let mut stream = pool.map_streamed(tasks, move |_, t| {
-            if let Some(q) = queued {
-                tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-            }
-            run_engine_task(t, mode)
-        });
-        let mut out = Vec::with_capacity(indices.len());
-        for (ci, aisa, secrets, runs) in meta {
-            let span = tp_telemetry::span_start();
-            let (report, _) =
-                merge_proof_stream(aisa, &self.models, &secrets, mode, &runs, &mut stream);
-            if let Some(start) = span {
-                tp_telemetry::span(SpanKind::Verify, ci, tp_sched::current_worker(), start);
-            }
-            on_cell(ci, &all[ci], &report);
-            out.push((ci, all[ci].clone(), report));
-        }
-        out
-    }
-
-    /// [`ScenarioMatrix::run_subset_streamed`] backed by a
-    /// [`ProofCache`]: each selected cell's content key
-    /// ([`crate::cache::cell_key`]) is looked up first, and a
-    /// **validated** hit replays the stored report without running
-    /// anything; only misses (absent, rejected, or uncacheable cells)
-    /// are flattened into the live task batch. Freshly proved
-    /// cacheable cells are inserted back into `cache` with their
-    /// observation fingerprints, so a cold sweep populates the cache a
-    /// warm sweep then hits.
-    ///
-    /// Reports, streaming order, and therefore any serialised output
-    /// are byte-identical to the uncached
-    /// [`ScenarioMatrix::run_subset_streamed`]: a hit's stored report
-    /// equals the live report whenever the content key matches (the
-    /// determinism harness pins this), and a hit that fails validation
-    /// silently degrades to a live re-prove — a bad cache can cost
-    /// time, never change output.
-    pub fn run_subset_cached<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        cache: &mut ProofCache,
-        make_scenario: F,
-        on_cell: C,
-    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
-        self.run_subset_journaled(pool, indices, cache, make_scenario, on_cell, None)
-    }
-
-    /// [`ScenarioMatrix::run_subset_cached`] with a checkpoint hook:
-    /// when `on_proved` is given it is invoked once per **freshly
-    /// proved cacheable** cell — after the merge, right before the
-    /// cache insert — with the exact [`CachedMeta`] the cache stores,
-    /// which is what a [`crate::journal::JournalWriter`] appends. Hits
-    /// and uncacheable cells never reach the hook, so a resumed run
-    /// journals only what it actually re-proved.
-    pub fn run_subset_journaled<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        cache: &mut ProofCache,
-        make_scenario: F,
-        mut on_cell: C,
-        mut on_proved: Option<OnProved<'_>>,
-    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &ProofReport),
-    {
-        enum Plan {
-            Hit(Box<ProofReport>),
-            Miss {
-                key: Option<u64>,
-                aisa: tp_hw::aisa::ConformanceReport,
-                secrets: Vec<u64>,
-                runs: Vec<ProofTask>,
-            },
-        }
-        let all = self.cells();
-        let mode = self.mode;
-        let mut stats = CacheStats::default();
-        let mut tasks = Vec::new();
-        let mut plans = Vec::with_capacity(indices.len());
-        for &ci in indices {
-            let cell = &all[ci];
-            let scenario = apply_cell(make_scenario(cell), cell);
-            check_proof_inputs(&scenario, &self.models);
-            let key = crate::cache::cell_key(cell, &self.models, &scenario, mode);
-            match key {
-                Some(k) => match cache.lookup(k, cell, &self.models, &scenario.secrets) {
-                    Ok(entry) => {
-                        stats.hits += 1;
-                        tp_telemetry::count(Counter::CacheHits);
-                        plans.push((ci, Plan::Hit(Box::new(entry.report.clone()))));
-                        continue;
-                    }
-                    Err(CacheMiss::Absent) => {
-                        stats.misses += 1;
-                        tp_telemetry::count(Counter::CacheMisses);
-                    }
-                    Err(CacheMiss::Rejected(r)) => {
-                        stats.rejected += 1;
-                        tp_telemetry::count(reject_counter(r));
-                    }
-                },
-                None => {
-                    stats.uncacheable += 1;
-                    tp_telemetry::count(Counter::CacheUncacheable);
-                }
-            }
-            let batch = proof_tasks(&scenario, &self.models, mode, ci);
-            plans.push((
-                ci,
-                Plan::Miss {
-                    key,
-                    aisa: check_conformance(&cell.mcfg),
-                    secrets: scenario.secrets.clone(),
-                    runs: batch.runs,
-                },
-            ));
-            tasks.extend(batch.tasks);
-        }
-
-        let queued = tp_telemetry::span_start();
-        let mut stream = pool.map_streamed(tasks, move |_, t| {
-            if let Some(q) = queued {
-                tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-            }
-            run_engine_task(t, mode)
-        });
-        let mut out = Vec::with_capacity(indices.len());
-        for (ci, plan) in plans {
-            let report = match plan {
-                Plan::Hit(report) => *report,
-                Plan::Miss {
-                    key,
-                    aisa,
-                    secrets,
-                    runs,
-                } => {
-                    let span = tp_telemetry::span_start();
-                    let (report, fps) =
-                        merge_proof_stream(aisa, &self.models, &secrets, mode, &runs, &mut stream);
-                    if let Some(start) = span {
-                        tp_telemetry::span(SpanKind::Verify, ci, tp_sched::current_worker(), start);
-                    }
-                    if let Some(k) = key {
-                        if let Some(j) = on_proved.as_mut() {
-                            let meta = CachedMeta {
-                                key: k,
-                                salt: CACHE_SALT,
-                                check: entry_check(k, CACHE_SALT, &fps, &all[ci], &report),
-                                fps: fps.clone(),
-                            };
-                            j(ci, &all[ci], &report, &meta);
-                        }
-                        cache.insert(k, all[ci].clone(), report.clone(), fps);
-                    }
-                    report
-                }
-            };
-            on_cell(ci, &all[ci], &report);
-            out.push((ci, all[ci].clone(), report));
-        }
-        (out, stats)
-    }
-
-    /// The fault-contained sweep driver a **long-lived** service runs:
-    /// [`ScenarioMatrix::run_subset_cached`] semantics (optional cache
-    /// front, streaming in `indices` order, byte-identical reports),
-    /// but a cell whose tasks panic yields `Err(panic message)` in its
-    /// slot instead of unwinding into the caller — the remaining cells
-    /// still complete, stream, and populate the cache.
-    ///
-    /// `cache: None` runs the sweep uncached (every cell is proved
-    /// live, [`CacheStats`] stays zero and no cache telemetry is
-    /// counted); `Some` behaves exactly like
-    /// [`ScenarioMatrix::run_subset_cached`]. Failed cells are never
-    /// inserted into the cache, so a fault stays a miss and a
-    /// resubmission re-proves it.
-    ///
-    /// Containment covers both places a proof can panic: the sharded
-    /// engine tasks (contained by the pool and delivered through
-    /// [`OrderedResults::next_outcome`]; the stream stays aligned
-    /// because every submitted task reports exactly one outcome) and
-    /// the consumer-side merge (digest-divergence lockstep re-runs
-    /// execute here, so the merge is wrapped in its own `catch_unwind`).
-    pub fn run_subset_streamed_cached<F, C>(
-        &self,
-        pool: &WorkerPool,
-        indices: &[usize],
-        cache: Option<&mut ProofCache>,
-        make_scenario: F,
-        on_cell: C,
-    ) -> (CellOutcomes, CacheStats)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-        C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
-    {
-        self.run_subset_streamed_journaled(pool, indices, cache, make_scenario, on_cell, None)
-    }
-
-    /// [`ScenarioMatrix::run_subset_streamed_cached`] with the same
-    /// checkpoint hook as [`ScenarioMatrix::run_subset_journaled`]:
-    /// `on_proved` fires once per freshly proved cacheable cell with
-    /// the metadata its journal record stores. Failed (panicked) cells
-    /// are neither cached nor journaled.
-    pub fn run_subset_streamed_journaled<F, C>(
+    /// Every report is bit-identical to the sequential
+    /// [`crate::proof::prove`] on the cell's scenario. This is also the
+    /// multi-process sharding primitive: a `--worker` process proves its
+    /// slice and serialises the triples ([`crate::wire`]); the merge
+    /// step reassembles a report identical to a single-process run.
+    /// Out-of-range indices panic — shards derive from the same matrix
+    /// constructor on every host, so a mismatch is a driver bug.
+    pub fn run_subset<F, C>(
         &self,
         pool: &WorkerPool,
         indices: &[usize],
@@ -1349,6 +983,8 @@ impl ScenarioMatrix {
         F: Fn(&MatrixCell) -> NiScenario,
         C: FnMut(usize, &MatrixCell, &Result<ProofReport, String>),
     {
+        /// A selected cell: a validated cache hit, or a live proof's
+        /// merge inputs and its number of tasks in the batch.
         enum Plan {
             Hit(Box<ProofReport>),
             Miss {
@@ -1368,34 +1004,15 @@ impl ScenarioMatrix {
             let cell = &all[ci];
             let scenario = apply_cell(make_scenario(cell), cell);
             check_proof_inputs(&scenario, &self.models);
-            let key = match cache.as_deref_mut() {
+            let key = match cache.as_deref() {
                 None => None,
-                Some(c) => {
-                    let key = crate::cache::cell_key(cell, &self.models, &scenario, mode);
-                    match key {
-                        Some(k) => match c.lookup(k, cell, &self.models, &scenario.secrets) {
-                            Ok(entry) => {
-                                stats.hits += 1;
-                                tp_telemetry::count(Counter::CacheHits);
-                                plans.push((ci, Plan::Hit(Box::new(entry.report.clone()))));
-                                continue;
-                            }
-                            Err(CacheMiss::Absent) => {
-                                stats.misses += 1;
-                                tp_telemetry::count(Counter::CacheMisses);
-                            }
-                            Err(CacheMiss::Rejected(r)) => {
-                                stats.rejected += 1;
-                                tp_telemetry::count(reject_counter(r));
-                            }
-                        },
-                        None => {
-                            stats.uncacheable += 1;
-                            tp_telemetry::count(Counter::CacheUncacheable);
-                        }
+                Some(c) => match lookup_cell(c, cell, &self.models, &scenario, mode, &mut stats) {
+                    Ok(report) => {
+                        plans.push((ci, Plan::Hit(report)));
+                        continue;
                     }
-                    key
-                }
+                    Err(key) => key,
+                },
             };
             let batch = proof_tasks(&scenario, &self.models, mode, ci);
             plans.push((
@@ -1411,15 +1028,10 @@ impl ScenarioMatrix {
             tasks.extend(batch.tasks);
         }
 
-        let queued = tp_telemetry::span_start();
-        let mut stream = pool.map_streamed(tasks, move |_, t| {
-            if let Some(q) = queued {
-                tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
-            }
-            run_engine_task(t, mode)
-        });
+        let mut stream = submit_engine_tasks(pool, tasks, mode);
         let mut out = Vec::with_capacity(indices.len());
         for (ci, plan) in plans {
+            let cell = &all[ci];
             let result = match plan {
                 Plan::Hit(report) => Ok(*report),
                 Plan::Miss {
@@ -1427,101 +1039,168 @@ impl ScenarioMatrix {
                     aisa,
                     secrets,
                     runs,
-                    tasks: n,
+                    tasks,
                 } => {
                     // Drain this cell's full task quota even after a
                     // panic, so the next cell's outcomes line up.
-                    let mut outputs = Vec::with_capacity(n);
-                    let mut panic_msg: Option<String> = None;
-                    for _ in 0..n {
+                    let mut outputs = Vec::with_capacity(tasks);
+                    let mut panic_msg = None;
+                    for _ in 0..tasks {
                         match stream
                             .next_outcome()
                             .expect("one outcome per submitted engine task")
                         {
                             Ok(o) => outputs.push(o),
                             Err(payload) => {
-                                if panic_msg.is_none() {
-                                    panic_msg =
-                                        Some(tp_sched::panic_message(payload.as_ref()).to_string());
-                                }
+                                panic_msg.get_or_insert_with(|| {
+                                    tp_sched::panic_message(payload.as_ref()).to_string()
+                                });
                             }
                         }
                     }
                     match panic_msg {
                         Some(msg) => Err(msg),
-                        None => {
-                            let span = tp_telemetry::span_start();
-                            let models = &self.models;
-                            let merged = catch_unwind(AssertUnwindSafe(move || {
-                                merge_proof_stream(
-                                    aisa,
-                                    models,
-                                    &secrets,
-                                    mode,
-                                    &runs,
-                                    &mut outputs.into_iter(),
-                                )
-                            }));
-                            if let Some(start) = span {
-                                tp_telemetry::span(
-                                    SpanKind::Verify,
-                                    ci,
-                                    tp_sched::current_worker(),
-                                    start,
-                                );
-                            }
-                            match merged {
-                                Ok((report, fps)) => {
-                                    if let (Some(k), Some(c)) = (key, cache.as_deref_mut()) {
-                                        if let Some(j) = on_proved.as_mut() {
-                                            let meta = CachedMeta {
-                                                key: k,
-                                                salt: CACHE_SALT,
-                                                check: entry_check(
-                                                    k, CACHE_SALT, &fps, &all[ci], &report,
-                                                ),
-                                                fps: fps.clone(),
-                                            };
-                                            j(ci, &all[ci], &report, &meta);
-                                        }
-                                        c.insert(k, all[ci].clone(), report.clone(), fps);
-                                    }
-                                    Ok(report)
-                                }
-                                Err(payload) => {
-                                    tp_telemetry::count(Counter::TasksPanicked);
-                                    Err(tp_sched::panic_message(payload.as_ref()).to_string())
-                                }
-                            }
-                        }
+                        None => self.merge_cell(ci, aisa, &secrets, &runs, outputs),
                     }
+                    .map(|(report, fps)| {
+                        if let (Some(k), Some(c)) = (key, cache.as_deref_mut()) {
+                            if let Some(j) = on_proved.as_mut() {
+                                let meta = CachedMeta {
+                                    key: k,
+                                    salt: CACHE_SALT,
+                                    check: entry_check(k, CACHE_SALT, &fps, cell, &report),
+                                    fps: fps.clone(),
+                                };
+                                j(ci, cell, &report, &meta);
+                            }
+                            c.insert(k, cell.clone(), report.clone(), fps);
+                        }
+                        report
+                    })
                 }
             };
-            on_cell(ci, &all[ci], &result);
-            out.push((ci, all[ci].clone(), result));
+            on_cell(ci, cell, &result);
+            out.push((ci, cell.clone(), result));
         }
         (out, stats)
     }
 
-    /// [`ScenarioMatrix::run`] on a scoped spawn-per-call pool,
-    /// splitting `threads` between cells (outer) and each cell's
-    /// (model × secret) product (inner) — the pre-`tp-sched` execution
-    /// path, kept as a comparison baseline.
-    pub fn run_scoped<F>(&self, threads: usize, make_scenario: F) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> NiScenario + Sync,
-    {
-        let cells = self.cells();
-        let threads = threads.max(1);
-        let outer = threads.clamp(1, cells.len().max(1));
-        let inner = (threads / outer).max(1);
-        let reports = parallel_map(&cells, outer, |_, cell| {
-            let scenario = apply_cell(make_scenario(cell), cell);
-            prove_parallel_scoped_mode(&scenario, &self.models, inner, self.mode)
-        });
-        MatrixReport {
-            cells: cells.into_iter().zip(reports).collect(),
+    /// One live cell's ordered merge over its drained task outputs —
+    /// the only work the `verify` span times. A panic in the merge (a
+    /// lockstep witness re-run) becomes the cell's `Err`.
+    fn merge_cell(
+        &self,
+        ci: usize,
+        aisa: tp_hw::aisa::ConformanceReport,
+        secrets: &[u64],
+        runs: &[ProofTask],
+        outputs: Vec<TaskOutput>,
+    ) -> Result<(ProofReport, Fingerprints), String> {
+        let span = tp_telemetry::span_start();
+        let merged = catch_unwind(AssertUnwindSafe(|| {
+            let mut it = outputs.into_iter();
+            merge_proof_stream(aisa, &self.models, secrets, self.mode, runs, &mut it)
+        }));
+        if let Some(start) = span {
+            tp_telemetry::span(SpanKind::Verify, ci, tp_sched::current_worker(), start);
         }
+        merged.map_err(|payload| {
+            tp_telemetry::count(Counter::TasksPanicked);
+            tp_sched::panic_message(payload.as_ref()).to_string()
+        })
+    }
+
+    /// [`ScenarioMatrix::run_subset`] uncached, unwrapped to plain
+    /// reports: streams each finished cell to `on_cell` in `indices`
+    /// order and panics, naming the cell, at the first cell whose proof
+    /// failed — after every earlier cell has streamed.
+    pub fn run_subset_streamed<F, C>(
+        &self,
+        pool: &WorkerPool,
+        indices: &[usize],
+        make_scenario: F,
+        on_cell: C,
+    ) -> Vec<(usize, MatrixCell, ProofReport)>
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+        C: FnMut(usize, &MatrixCell, &ProofReport),
+    {
+        self.run_subset_unwrapped(pool, indices, None, make_scenario, on_cell, None)
+            .0
+    }
+
+    /// [`ScenarioMatrix::run_subset_streamed`] backed by `cache`:
+    /// validated hits replay, misses are proved live and inserted back
+    /// (see [`ScenarioMatrix::run_subset`]). Output is byte-identical to
+    /// the uncached sweep.
+    pub fn run_subset_cached<F, C>(
+        &self,
+        pool: &WorkerPool,
+        indices: &[usize],
+        cache: &mut ProofCache,
+        make_scenario: F,
+        on_cell: C,
+    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+        C: FnMut(usize, &MatrixCell, &ProofReport),
+    {
+        self.run_subset_unwrapped(pool, indices, Some(cache), make_scenario, on_cell, None)
+    }
+
+    /// [`ScenarioMatrix::run_subset_cached`] with the checkpoint hook
+    /// `on_proved` of [`ScenarioMatrix::run_subset`].
+    pub fn run_subset_journaled<F, C>(
+        &self,
+        pool: &WorkerPool,
+        indices: &[usize],
+        cache: &mut ProofCache,
+        make_scenario: F,
+        on_cell: C,
+        on_proved: Option<OnProved<'_>>,
+    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+        C: FnMut(usize, &MatrixCell, &ProofReport),
+    {
+        self.run_subset_unwrapped(
+            pool,
+            indices,
+            Some(cache),
+            make_scenario,
+            on_cell,
+            on_proved,
+        )
+    }
+
+    /// The unwrap the panicking entry points share: a failed cell
+    /// panics inside the `on_cell` adapter, so the sweep still fails at
+    /// that cell.
+    fn run_subset_unwrapped<F, C>(
+        &self,
+        pool: &WorkerPool,
+        indices: &[usize],
+        cache: Option<&mut ProofCache>,
+        make_scenario: F,
+        mut on_cell: C,
+        on_proved: Option<OnProved<'_>>,
+    ) -> (Vec<(usize, MatrixCell, ProofReport)>, CacheStats)
+    where
+        F: Fn(&MatrixCell) -> NiScenario,
+        C: FnMut(usize, &MatrixCell, &ProofReport),
+    {
+        let unwrap =
+            |ci: usize, cell: &MatrixCell, outcome: &Result<ProofReport, String>| match outcome {
+                Ok(report) => on_cell(ci, cell, report),
+                Err(msg) => panic!("matrix cell {ci} ({}) failed: {msg}", cell.label()),
+            };
+        let (outcomes, stats) =
+            self.run_subset(pool, indices, cache, make_scenario, unwrap, on_proved);
+        let proved = outcomes
+            .into_iter()
+            .map(|(ci, cell, r)| (ci, cell, r.expect("a failed cell panics in on_cell")))
+            .collect();
+        (proved, stats)
     }
 
     /// NI-only matrix run on the process-wide pool: shard every cell's
@@ -1546,126 +1225,87 @@ impl ScenarioMatrix {
     where
         F: Fn(&MatrixCell) -> NiScenario,
     {
-        let (cells, counts, tasks) = self.ni_tasks(make_scenario);
-        let tasks = Arc::new(tasks);
-        let worker_tasks = Arc::clone(&tasks);
-        // Stream the fingerprints so cells merge — and any divergence
-        // re-runs execute — while the sweep's tail is still running on
-        // the pool.
-        let mut stream = pool.map_streamed((0..tasks.len()).collect(), move |_, i| {
-            worker_tasks[i].fingerprint()
-        });
-        let mut out = Vec::with_capacity(cells.len());
-        let mut offset = 0;
-        for (cell, n) in cells.into_iter().zip(counts) {
-            let runs: Vec<(u64, usize, u64)> = (0..n)
-                .map(|_| {
-                    stream
-                        .next_result()
-                        .expect("one fingerprint per (cell, secret)")
-                })
-                .collect();
-            out.push((cell, ni_verdict(&runs, &tasks[offset..offset + n])));
-            offset += n;
-        }
-        out
-    }
-
-    /// [`ScenarioMatrix::run_ni`] on a scoped spawn-per-call pool — the
-    /// pre-`tp-sched` execution path, kept as a comparison baseline for
-    /// the scheduler. Digest-first like the pool path, so the two
-    /// differ only in scheduling.
-    pub fn run_ni_scoped<F>(&self, threads: usize, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario + Sync,
-    {
-        let (cells, counts, tasks) = self.ni_tasks(make_scenario);
-        let fingerprints = parallel_map(&tasks, threads, |_, t| t.fingerprint());
-        let mut out = Vec::with_capacity(cells.len());
-        let mut it = fingerprints.into_iter();
-        let mut offset = 0;
-        for (cell, n) in cells.into_iter().zip(counts) {
-            let runs: Vec<(u64, usize, u64)> = (0..n)
-                .map(|_| it.next().expect("one fingerprint per (cell, secret)"))
-                .collect();
-            out.push((cell, ni_verdict(&runs, &tasks[offset..offset + n])));
-            offset += n;
-        }
-        out
-    }
-
-    /// Flatten the matrix into NI-only run tasks: per cell, one task
-    /// per secret, configs `Arc`-shared. Returns (cells, per-cell
-    /// secret counts, tasks).
-    fn ni_tasks<F>(&self, make_scenario: F) -> (Vec<MatrixCell>, Vec<usize>, Vec<NiTask>)
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
+        // One digest-only run per (cell, secret), configs `Arc`-shared.
         let cells = self.cells();
-        let mut tasks = Vec::new();
         let mut counts = Vec::with_capacity(cells.len());
-        for cell in &cells {
+        let mut runs = Vec::new();
+        for (ci, cell) in cells.iter().enumerate() {
             let sc = apply_cell(make_scenario(cell), cell);
             counts.push(sc.secrets.len());
             let mcfg = Arc::new(sc.mcfg.clone());
-            for &s in &sc.secrets {
-                tasks.push(NiTask {
+            for &secret in &sc.secrets {
+                let run = ProofTask {
                     mcfg: Arc::clone(&mcfg),
-                    kcfg: Arc::new((sc.make_kcfg)(s)),
-                    secret: s,
+                    kcfg: Arc::new((sc.make_kcfg)(secret)),
                     lo: sc.lo,
                     budget: sc.budget,
                     max_steps: sc.max_steps,
-                });
+                    cell: ci,
+                };
+                runs.push((secret, run));
             }
         }
-        (cells, counts, tasks)
-    }
-}
-
-/// One NI-only run: a (cell, secret) system to fingerprint.
-struct NiTask {
-    mcfg: Arc<MachineConfig>,
-    kcfg: Arc<KernelConfig>,
-    secret: u64,
-    lo: DomainId,
-    budget: Cycles,
-    max_steps: usize,
-}
-
-impl NiTask {
-    /// The digest-first unit of work.
-    fn fingerprint(&self) -> (u64, usize, u64) {
-        let (len, digest) =
-            lo_digest_len(&self.mcfg, &self.kcfg, self.lo, self.budget, self.max_steps);
-        (self.secret, len, digest)
-    }
-
-    /// A fresh recording system for this task's configuration.
-    fn build(&self) -> System {
-        System::from_parts(&self.mcfg, &self.kcfg)
-            .expect("scenario construction must succeed for every secret")
-    }
-}
-
-/// One cell's NI verdict from its secrets' fingerprints. When
-/// fingerprints diverge, the offending pair is re-run in lockstep
-/// (recording sinks, stopped at the first diverging event) — identical
-/// to `check_noninterference` on the cell's scenario.
-fn ni_verdict(runs: &[(u64, usize, u64)], tasks: &[NiTask]) -> NiVerdict {
-    compare_secret_digests(runs).unwrap_or_else(|b| {
-        let t = &tasks[0];
-        let (divergence, event_a, event_b) =
-            lockstep_divergence(t.build(), tasks[b].build(), t.lo, t.budget, t.max_steps)
-                .expect("a fingerprint mismatch implies a trace divergence");
-        NiVerdict::Leak {
-            secret_a: runs[0].0,
-            secret_b: runs[b].0,
-            divergence,
-            event_a,
-            event_b,
+        let runs = Arc::new(runs);
+        let worker_runs = Arc::clone(&runs);
+        // Stream the fingerprints so cells merge — and any divergence
+        // re-runs execute — while the sweep's tail is still running on
+        // the pool.
+        let mut stream = pool.map_streamed((0..runs.len()).collect(), move |_, i| {
+            let (secret, t) = &worker_runs[i];
+            let (len, digest) = lo_digest_len(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps);
+            (*secret, len, digest)
+        });
+        let mut offset = 0;
+        let mut out = Vec::with_capacity(cells.len());
+        for (cell, n) in cells.into_iter().zip(counts) {
+            let fps: Fingerprints = stream.by_ref().take(n).collect();
+            let cell_runs = &runs[offset..offset + n];
+            offset += n;
+            // A fingerprint mismatch re-runs the offending pair in
+            // lockstep for its witness, exactly like a proof's merge.
+            let verdict = compare_secret_digests(&fps).unwrap_or_else(|b| {
+                cell_runs[0]
+                    .1
+                    .lockstep_leak(&cell_runs[b].1, fps[0].0, fps[b].0)
+            });
+            out.push((cell, verdict));
         }
-    })
+        out
+    }
+}
+
+/// Look `cell` up in `cache`, counting the outcome in `stats` and
+/// telemetry: `Ok` is a validated hit's stored report, `Err` the
+/// content key (`None` = uncacheable) a live proof is inserted under.
+fn lookup_cell(
+    cache: &ProofCache,
+    cell: &MatrixCell,
+    models: &[TimeModel],
+    scenario: &NiScenario,
+    mode: ProofMode,
+    stats: &mut CacheStats,
+) -> Result<Box<ProofReport>, Option<u64>> {
+    let Some(k) = crate::cache::cell_key(cell, models, scenario, mode) else {
+        stats.uncacheable += 1;
+        tp_telemetry::count(Counter::CacheUncacheable);
+        return Err(None);
+    };
+    match cache.lookup(k, cell, models, &scenario.secrets) {
+        Ok(entry) => {
+            stats.hits += 1;
+            tp_telemetry::count(Counter::CacheHits);
+            return Ok(Box::new(entry.report.clone()));
+        }
+        Err(CacheMiss::Absent) => {
+            stats.misses += 1;
+            tp_telemetry::count(Counter::CacheMisses);
+        }
+        Err(CacheMiss::Rejected(r)) => {
+            stats.rejected += 1;
+            tp_telemetry::count(reject_counter(r));
+        }
+    }
+    Err(Some(k))
 }
 
 /// Specialise a base scenario to one matrix cell: the cell's machine
@@ -1683,15 +1323,14 @@ fn apply_cell(mut scenario: NiScenario, cell: &MatrixCell) -> NiScenario {
     scenario
 }
 
-/// The per-cell results of a fault-contained sweep
-/// ([`ScenarioMatrix::run_subset_streamed_cached`]): each selected
+/// The per-cell results of the sweep driver
+/// ([`ScenarioMatrix::run_subset`]): each selected
 /// cell's global index and either its proved report or the panic
 /// message of the task that took it down.
 pub type CellOutcomes = Vec<(usize, MatrixCell, Result<ProofReport, String>)>;
 
-/// The checkpoint callback of the journaled sweep drivers
-/// ([`ScenarioMatrix::run_subset_journaled`] and its streamed twin):
-/// invoked once per freshly proved cacheable cell with the cell's
+/// The checkpoint hook of [`ScenarioMatrix::run_subset`] (and
+/// [`ScenarioMatrix::run_subset_journaled`]): invoked once per freshly proved cacheable cell with the cell's
 /// global index, its coordinates, the merged report, and the exact
 /// cache metadata a journal record (or cache entry) stores.
 pub type OnProved<'a> = &'a mut dyn FnMut(usize, &MatrixCell, &ProofReport, &CachedMeta);
@@ -1761,24 +1400,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_map_is_position_stable() {
-        let items: Vec<usize> = (0..97).collect();
-        for threads in [1, 2, 5] {
-            let out = parallel_map(&items, threads, |i, &x| {
-                assert_eq!(i, x);
-                x * 3
-            });
-            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_input() {
-        let out: Vec<u32> = parallel_map(&[], 4, |_, x: &u32| *x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn matrix_cells_cross_product() {
         let m = ScenarioMatrix::new("base", MachineConfig::tiny())
             .sweep_llc(&[(256, 1), (512, 2)])
@@ -1796,8 +1417,7 @@ mod tests {
 
     /// The engine must force `cell.tp` into the kernel configuration:
     /// even a callback that hardcodes full protection and ignores the
-    /// cell gets leaking ablation cells. Checked on both the pool and
-    /// the scoped execution paths.
+    /// cell gets leaking ablation cells.
     #[test]
     fn run_ni_applies_cell_protection_despite_oblivious_callback() {
         use crate::noninterference::check_noninterference;
@@ -1854,9 +1474,6 @@ mod tests {
                 cell.label()
             );
         }
-
-        // The scoped baseline agrees with the pool path.
-        assert_eq!(verdicts, matrix.run_ni_scoped(2, |_| make()));
 
         // And each cell's verdict equals the sequential checker run on
         // the equivalently-ablated scenario.

@@ -161,7 +161,7 @@ pub struct TransparencyCert {
     /// run. Not part of the transparency comparison (the plain replay
     /// has no switch monitor to chain against); it is a fingerprint of
     /// the canonical post-flush states that the determinism harness
-    /// pins bit-identical across sequential/scoped/pooled execution
+    /// pins bit-identical across sequential and pooled execution
     /// and wire shards — a divergence here means the engine ran
     /// different switches than the reference driver.
     pub switch_digest: u64,

@@ -1,14 +1,11 @@
 //! Determinism harness for the parallel proof engine: sharding the
 //! (time-model × secret) product or the Hi-program enumeration across
-//! worker threads must not change a single bit of the result — on
-//! **either** execution path, in **either** [`ProofMode`]. Each
-//! scenario is checked several ways:
+//! worker threads must not change a single bit of the result, in any
+//! [`ProofMode`]. Each scenario is checked several ways:
 //!
 //! * sequential (`prove` / `check_exhaustive`) — the reference, and
 //!   since the transparency work also the paranoid *double-run*: one
 //!   monitored run plus one plain replay per (model, secret);
-//! * scoped spawn-per-call pools (`*_scoped`) — the legacy engine path,
-//!   now certified single-run;
 //! * persistent `tp-sched` pools (`*_on`) — the production certified
 //!   single-run path, exercised at 1, 2 and 8 workers;
 //! * [`ProofMode::ReplayCheck`] on the pool — the `--replay-check`
@@ -22,10 +19,10 @@
 //! therefore the same rendered reports.
 
 use tp_core::engine::{
-    check_exhaustive_parallel_on, check_exhaustive_parallel_scoped, prove_parallel_mode,
-    prove_parallel_on, prove_parallel_scoped, ProofMode, ScenarioMatrix,
+    check_exhaustive_parallel_mode, check_exhaustive_parallel_on, prove_parallel_mode,
+    prove_parallel_on, ProofMode, ScenarioMatrix,
 };
-use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
+use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig, ExhaustiveMode};
 use tp_core::noninterference::NiScenario;
 use tp_core::proof::{default_time_models, prove, ProofReport};
 use tp_hw::machine::MachineConfig;
@@ -108,8 +105,8 @@ fn assert_reports_identical(reference: &ProofReport, other: &ProofReport, label:
     );
 }
 
-/// Sequential, scoped-spawn and persistent-pool proofs must agree on
-/// everything the report exposes, at every worker count.
+/// Sequential and persistent-pool proofs must agree on everything the
+/// report exposes, at every worker count and in every proof mode.
 #[test]
 fn prove_is_bit_identical_across_all_execution_paths() {
     let models = default_time_models();
@@ -121,14 +118,6 @@ fn prove_is_bit_identical_across_all_execution_paths() {
             TimeProtConfig::full_without(Mechanism::Padding),
         ] {
             let sequential = prove(&seeded_scenario(seed, tp), &models);
-            for threads in [2, 5] {
-                let scoped = prove_parallel_scoped(&seeded_scenario(seed, tp), &models, threads);
-                assert_reports_identical(
-                    &sequential,
-                    &scoped,
-                    &format!("seed {seed} scoped×{threads}"),
-                );
-            }
             for workers in POOL_SIZES {
                 let pool = WorkerPool::new(workers);
                 let pooled = prove_parallel_on(&pool, &seeded_scenario(seed, tp), &models);
@@ -171,31 +160,49 @@ fn prove_is_bit_identical_across_all_execution_paths() {
 /// The certified-vs-audited pin at the matrix level: a sweep run in
 /// certified single-run mode must produce the identical
 /// [`tp_core::MatrixReport`] (cells, verdicts, certificates, rendered
-/// text) as the same sweep with `--replay-check`'s double-run — on
-/// pooled, scoped and 1/2/8-worker execution alike.
+/// text) as the same sweep with `--replay-check`'s double-run, and
+/// both must equal the sequential `prove` of every cell — at 1, 2 and
+/// 8 workers.
 #[test]
 fn certified_and_replay_check_sweeps_are_bit_identical() {
     let models = default_time_models()[..2].to_vec();
-    let matrix = |replay_check: bool| {
+    let matrix = |mode: ProofMode| {
         ScenarioMatrix::new("det", MachineConfig::single_core())
             .with_ablations(vec![None, Some(Mechanism::Padding)])
             .with_models(models.clone())
-            .with_replay_check(replay_check)
+            .with_mode(mode)
     };
     let scenario = || seeded_scenario(2, TimeProtConfig::full());
 
-    let reference = matrix(true).run_scoped(2, |_| scenario());
+    // The oracle: each cell's scenario — the cell's machine, the cell's
+    // protection forced into every kernel configuration — proved by the
+    // sequential double-run.
+    let cells = matrix(ProofMode::Certified).cells();
+    let reports = cells.iter().map(|cell| {
+        let mut sc = scenario();
+        sc.mcfg = cell.mcfg.clone();
+        let (tp, inner) = (cell.tp, sc.make_kcfg);
+        sc.make_kcfg = Box::new(move |s| {
+            let mut k = inner(s);
+            k.tp = tp;
+            k
+        });
+        prove(&sc, &models)
+    });
+    let reference = tp_core::MatrixReport {
+        cells: cells.iter().cloned().zip(reports).collect(),
+    };
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
-        let certified = matrix(false).run_on(&pool, |_| scenario());
-        let audited = matrix(true).run_on(&pool, |_| scenario());
+        let certified = matrix(ProofMode::Certified).run_on(&pool, |_| scenario());
+        let audited = matrix(ProofMode::ReplayCheck).run_on(&pool, |_| scenario());
         assert_eq!(
             certified, audited,
             "certified and replay-check sweeps must agree (pool×{workers})"
         );
         assert_eq!(
             certified, reference,
-            "pooled certified sweep must equal the scoped double-run (pool×{workers})"
+            "pooled certified sweep must equal the sequential double-run (pool×{workers})"
         );
         assert_eq!(certified.to_string(), reference.to_string());
         for (cell, report) in &certified.cells {
@@ -205,11 +212,6 @@ fn certified_and_replay_check_sweeps_are_bit_identical() {
             assert!(cert.transparent(), "{}: {cert}", cell.label());
         }
     }
-    let scoped_certified = matrix(false).run_scoped(3, |_| scenario());
-    assert_eq!(
-        scoped_certified, reference,
-        "scoped certified vs double-run"
-    );
 }
 
 /// The cache-backed sweep pin: a cold run (cache empty), a warm run
@@ -367,7 +369,7 @@ fn telemetry_sinks_never_change_reports_or_wire_records() {
 
 /// The sharded enumeration returns the sequential first witness: the
 /// lowest-index distinguishing program, with identical divergence data
-/// — on the scoped path and on persistent pools of every size.
+/// — on persistent pools of every size, digest-first and recording.
 #[test]
 fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
     for tp in [
@@ -381,19 +383,17 @@ fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
             ..ExhaustiveConfig::small(tp)
         };
         let sequential = check_exhaustive(&cfg);
-        for threads in [2, 5] {
-            let scoped = check_exhaustive_parallel_scoped(&cfg, threads);
-            assert_eq!(
-                sequential, scoped,
-                "exhaustive verdict must be thread-count independent ({tp:?}, scoped×{threads})"
-            );
-        }
         for workers in POOL_SIZES {
             let pool = WorkerPool::new(workers);
             let pooled = check_exhaustive_parallel_on(&pool, &cfg);
             assert_eq!(
                 sequential, pooled,
                 "exhaustive verdict must be pool-size independent ({tp:?}, pool×{workers})"
+            );
+            let recorded = check_exhaustive_parallel_mode(&pool, &cfg, ExhaustiveMode::Recording);
+            assert_eq!(
+                sequential, recorded,
+                "recording scan must agree ({tp:?}, pool×{workers})"
             );
         }
     }

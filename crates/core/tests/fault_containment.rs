@@ -1,16 +1,21 @@
-//! Fault containment in the service-grade sweep driver
-//! ([`ScenarioMatrix::run_subset_streamed_cached`]): a cell whose
+//! Fault containment in the engine's sweep driver
+//! ([`ScenarioMatrix::run_subset`]): a cell whose
 //! program panics mid-proof must become `Err(message)` in that cell's
 //! slot — not a poisoned pool, not an unwound consumer — while every
 //! other cell proves, streams, and caches exactly as it would have
 //! without the fault. This is the engine-side half of the `tp-serve`
 //! daemon's failure model; the pool-side half lives in
-//! `crates/sched/tests/panic_containment.rs`.
+//! `crates/sched/tests/panic_containment.rs`. The panicking entry
+//! points (`run_subset_streamed`, `run_subset_cached`) are unwraps over
+//! the same driver: they fail at the faulted cell, naming it, after
+//! every earlier cell has streamed.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tp_core::cache::ProofCache;
 use tp_core::engine::ScenarioMatrix;
 use tp_core::noninterference::NiScenario;
-use tp_core::proof::default_time_models;
+use tp_core::proof::{default_time_models, prove, ProofReport};
 use tp_core::MatrixCell;
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
@@ -94,24 +99,45 @@ fn faulty_scenario(cell: &MatrixCell) -> NiScenario {
     s
 }
 
+/// The sequential oracle: `prove` on each cell's scenario — the
+/// cell's machine, with the cell's protection forced into every kernel
+/// configuration, exactly as the engine specialises it.
+fn sequential_reports(matrix: &ScenarioMatrix) -> Vec<ProofReport> {
+    matrix
+        .cells()
+        .iter()
+        .map(|cell| {
+            let mut sc = small_scenario();
+            sc.mcfg = cell.mcfg.clone();
+            let (tp, inner) = (cell.tp, sc.make_kcfg);
+            sc.make_kcfg = Box::new(move |s| {
+                let mut k = inner(s);
+                k.tp = tp;
+                k
+            });
+            prove(&sc, matrix.models())
+        })
+        .collect()
+}
+
 /// Without faults, the fault-contained driver is byte-for-byte the
-/// plain streamed / cached drivers: same reports uncached (`None`),
-/// same reports and same [`tp_core::cache::CacheStats`] cold and warm.
+/// sequential oracle and the plain streamed / cached drivers: same
+/// reports uncached (`None`), same reports and same
+/// [`tp_core::cache::CacheStats`] cold and warm.
 #[test]
 fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
     let matrix = matrix();
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
+    let oracle = sequential_reports(&matrix);
     for workers in POOL_SIZES {
         let pool = WorkerPool::new(workers);
         let reference = matrix.run_subset_streamed(&pool, &all, |_| small_scenario(), |_, _, _| {});
+        for ((i, cell, report), expected) in reference.iter().zip(&oracle) {
+            assert_eq!(report, expected, "{i}: {} (pool×{workers})", cell.label());
+        }
 
-        let (uncached, stats) = matrix.run_subset_streamed_cached(
-            &pool,
-            &all,
-            None,
-            |_| small_scenario(),
-            |_, _, _| {},
-        );
+        let (uncached, stats) =
+            matrix.run_subset(&pool, &all, None, |_| small_scenario(), |_, _, _| {}, None);
         assert_eq!(
             stats.hits + stats.misses + stats.rejected + stats.uncacheable,
             0
@@ -122,22 +148,24 @@ fn healthy_sweeps_match_the_plain_drivers_bit_for_bit() {
         }
 
         let mut cache = ProofCache::new();
-        let (cold, stats) = matrix.run_subset_streamed_cached(
+        let (cold, stats) = matrix.run_subset(
             &pool,
             &all,
             Some(&mut cache),
             |_| small_scenario(),
             |_, _, _| {},
+            None,
         );
         assert_eq!(stats.hits, 0, "cold run must not hit (pool×{workers})");
         assert_eq!(stats.misses, all.len());
         assert_eq!(cache.len(), all.len(), "every healthy cell is cacheable");
-        let (warm, stats) = matrix.run_subset_streamed_cached(
+        let (warm, stats) = matrix.run_subset(
             &pool,
             &all,
             Some(&mut cache),
             |_| small_scenario(),
             |_, _, _| {},
+            None,
         );
         assert_eq!(stats.hits, all.len(), "warm run hits every cell");
         for ((_, _, report), (c, w)) in reference.iter().zip(cold.iter().zip(&warm)) {
@@ -162,12 +190,13 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
 
         let mut cache = ProofCache::new();
         let mut streamed = Vec::new();
-        let (outcomes, stats) = matrix.run_subset_streamed_cached(
+        let (outcomes, stats) = matrix.run_subset(
             &pool,
             &all,
             Some(&mut cache),
             faulty_scenario,
             |i, _, outcome| streamed.push((i, outcome.is_ok())),
+            None,
         );
         assert_eq!(outcomes.len(), all.len());
         let mut failed = 0;
@@ -200,12 +229,13 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
         assert_eq!(cache.len(), all.len() - 1, "only healthy cells cached");
 
         // Resubmission: healthy cells hit, the faulted one fails again.
-        let (again, stats) = matrix.run_subset_streamed_cached(
+        let (again, stats) = matrix.run_subset(
             &pool,
             &all,
             Some(&mut cache),
             faulty_scenario,
             |_, _, _| {},
+            None,
         );
         assert_eq!(stats.hits, all.len() - 1, "pool×{workers}");
         assert_eq!(stats.uncacheable, 1);
@@ -217,6 +247,91 @@ fn a_panicking_cell_yields_an_error_slot_and_spares_its_siblings() {
         assert_eq!(
             after, reference,
             "pool must survive the fault (pool×{workers})"
+        );
+    }
+}
+
+/// The unwrap semantics, pinned on the detonating cell (index 1). The
+/// contained driver returns `Err` in that slot and `Ok` siblings whose
+/// wire records are byte-identical to the sequential oracle's; the
+/// panicking entry points stream every earlier cell, then panic with a
+/// message naming the failed cell and carrying its panic payload —
+/// and the cached one has already inserted the earlier cells.
+#[test]
+fn panicking_entry_points_fail_at_the_faulted_cell_after_streaming_earlier_cells() {
+    let matrix = matrix();
+    let cells = matrix.cells();
+    let all: Vec<usize> = (0..cells.len()).collect();
+    let faulted = 1;
+    assert_eq!(cells[faulted].disable, Some(Mechanism::Padding));
+    let label = cells[faulted].label();
+    let record = |i: usize, report: &ProofReport| {
+        let mut out = String::new();
+        tp_core::wire::write_cell(&mut out, i, &cells[i], report);
+        out
+    };
+    let oracle = sequential_reports(&matrix);
+    for workers in POOL_SIZES {
+        let pool = WorkerPool::new(workers);
+
+        let (outcomes, _) =
+            matrix.run_subset(&pool, &all, None, faulty_scenario, |_, _, _| {}, None);
+        for (i, _, outcome) in &outcomes {
+            match outcome {
+                Err(msg) => {
+                    assert_eq!(*i, faulted, "pool×{workers}");
+                    assert!(msg.contains("injected fault"), "{msg:?}");
+                }
+                Ok(report) => {
+                    assert_ne!(*i, faulted, "pool×{workers}");
+                    assert_eq!(
+                        record(*i, report),
+                        record(*i, &oracle[*i]),
+                        "pool×{workers}"
+                    );
+                }
+            }
+        }
+
+        let panic_text = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic payload is a message")
+        };
+        let names_the_cell = |msg: &str| {
+            assert!(
+                msg.contains(&format!("matrix cell {faulted} ({label})")),
+                "panic must name the failed cell (pool×{workers}): {msg:?}"
+            );
+            assert!(msg.contains("injected fault"), "{msg:?}");
+        };
+
+        let mut streamed = Vec::new();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            matrix.run_subset_streamed(&pool, &all, faulty_scenario, |i, _, report| {
+                streamed.push(record(i, report))
+            })
+        }))
+        .expect_err("run_subset_streamed must panic at the faulted cell");
+        names_the_cell(&panic_text(payload));
+        assert_eq!(streamed, [record(0, &oracle[0])], "pool×{workers}");
+
+        let mut cache = ProofCache::new();
+        let mut streamed = Vec::new();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            matrix.run_subset_cached(&pool, &all, &mut cache, faulty_scenario, |i, _, report| {
+                streamed.push(record(i, report))
+            })
+        }))
+        .expect_err("run_subset_cached must panic at the faulted cell");
+        names_the_cell(&panic_text(payload));
+        assert_eq!(streamed, [record(0, &oracle[0])], "pool×{workers}");
+        assert_eq!(
+            cache.len(),
+            1,
+            "the earlier cell was cached (pool×{workers})"
         );
     }
 }

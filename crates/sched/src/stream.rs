@@ -35,10 +35,8 @@ pub struct OrderedResults<T> {
     pending: BTreeMap<usize, std::thread::Result<T>>,
     next: usize,
     total: usize,
-    /// The pool to help while blocked; `None` for streams fed by
-    /// producers outside any pool ([`OrderedResults::from_channel`]),
-    /// which simply block on the channel.
-    shared: Option<Arc<Shared>>,
+    /// The pool to help while blocked.
+    shared: Arc<Shared>,
 }
 
 impl<T> OrderedResults<T> {
@@ -52,23 +50,7 @@ impl<T> OrderedResults<T> {
             pending: BTreeMap::new(),
             next: 0,
             total,
-            shared: Some(shared),
-        }
-    }
-
-    /// An ordered stream over a bare `(index, result)` channel, for
-    /// producers that are not pool tasks (e.g. scoped worker threads).
-    /// `total` results are expected, indices `0..total` each exactly
-    /// once; a panicked result re-raises on the consumer, like
-    /// [`crate::WorkerPool::map`]. This is the single result-collection
-    /// path every parallel driver shares, pooled or scoped.
-    pub fn from_channel(rx: Receiver<(usize, std::thread::Result<T>)>, total: usize) -> Self {
-        OrderedResults {
-            rx,
-            pending: BTreeMap::new(),
-            next: 0,
-            total,
-            shared: None,
+            shared,
         }
     }
 
@@ -128,13 +110,9 @@ impl<T> OrderedResults<T> {
                     // fire-and-forget task's panic must not unwind into
                     // this unrelated consumer (map tasks re-route their
                     // panics through the result channel regardless).
-                    // Channel-only streams have no pool to help and
-                    // just go back to waiting.
-                    if let Some(shared) = &self.shared {
-                        if let Some(task) = shared.try_pop_any(None) {
-                            tp_telemetry::count(tp_telemetry::Counter::PoolHelpingWaits);
-                            crate::pool::run_task(task);
-                        }
+                    if let Some(task) = self.shared.try_pop_any(None) {
+                        tp_telemetry::count(tp_telemetry::Counter::PoolHelpingWaits);
+                        crate::pool::run_task(task);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -241,27 +219,22 @@ mod tests {
         assert_eq!(stream.next_result(), None);
     }
 
-    /// A channel-fed stream (no pool) re-sequences scrambled arrivals
-    /// and re-raises producer panics on the consumer.
+    /// A task panic re-raises on the consumer exactly at its slot:
+    /// every earlier result is still yielded first, even when the
+    /// panicking task finishes before them.
     #[test]
-    fn from_channel_orders_and_propagates_panics() {
-        use super::OrderedResults;
-        let (tx, rx) = std::sync::mpsc::channel();
-        for i in [3usize, 0, 2, 1] {
-            tx.send((i, Ok(i * 10))).unwrap();
-        }
-        drop(tx);
-        let out: Vec<usize> = OrderedResults::from_channel(rx, 4).collect();
-        assert_eq!(out, vec![0, 10, 20, 30]);
-
-        let (tx, rx) = std::sync::mpsc::channel();
-        let payload = std::panic::catch_unwind(|| panic!("boom")).unwrap_err();
-        tx.send((1usize, Err(payload))).unwrap();
-        tx.send((0, Ok(7u32))).unwrap();
-        drop(tx);
-        let mut stream = OrderedResults::from_channel(rx, 2);
-        assert_eq!(stream.next_result(), Some(7));
+    fn stream_reraises_a_task_panic_at_its_slot() {
+        let pool = WorkerPool::new(2);
+        let mut stream = pool.map_streamed(vec![0u64, 1, 2], |_, x| {
+            if x == 1 {
+                panic!("boom");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            x * 7
+        });
+        assert_eq!(stream.next_result(), Some(0));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stream.next_result()));
-        assert!(r.is_err(), "producer panic must re-raise on the consumer");
+        assert!(r.is_err(), "task panic must re-raise on the consumer");
+        assert_eq!(stream.next_result(), Some(14));
     }
 }

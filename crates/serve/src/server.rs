@@ -725,76 +725,65 @@ fn run_job(
         let _ = tx.send(Msg::Rec(rec));
     };
 
-    let ((outcomes, stats), entries) = if nocache {
-        let r = matrix.run_subset_streamed_cached(
-            tp_sched::global(),
-            indices,
-            None,
-            &make_scenario,
-            emit,
-        );
-        let n = lock(&shared.cache).len();
-        (r, n)
-    } else {
-        let jpath = shared
-            .journal_dir
-            .as_ref()
-            .map(|d| d.join(format!("job-{job_id}.journal")));
-        let mut jwriter = jpath.as_ref().and_then(|p| match JournalWriter::create(p) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("tp-serve: cannot open journal {}: {e}", p.display());
-                None
+    // A cached job checkpoints every freshly proved cell to its own
+    // journal (under `--journal DIR`) and holds the cache for its whole
+    // sweep; a `nocache` job touches neither.
+    let jpath = shared
+        .journal_dir
+        .as_ref()
+        .filter(|_| !nocache)
+        .map(|d| d.join(format!("job-{job_id}.journal")));
+    let mut jwriter = jpath.as_ref().and_then(|p| match JournalWriter::create(p) {
+        Ok(w) => Some(w),
+        Err(e) => {
+            eprintln!("tp-serve: cannot open journal {}: {e}", p.display());
+            None
+        }
+    });
+    let mut on_proved =
+        |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &wire::CachedMeta| {
+            if let Some(w) = jwriter.as_mut() {
+                if let Err(e) = w.append(i, cell, report, meta) {
+                    eprintln!("tp-serve: journal append failed for job {job_id}: {e}");
+                    jwriter = None;
+                }
             }
-        });
-        let mut jdead = false;
-        let mut on_proved =
-            |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &wire::CachedMeta| {
-                if jdead {
-                    return;
-                }
-                if let Some(w) = jwriter.as_mut() {
-                    if let Err(e) = w.append(i, cell, report, meta) {
-                        eprintln!("tp-serve: journal append failed for job {job_id}: {e}");
-                        jdead = true;
-                    }
-                }
-            };
-        let mut cache = lock(&shared.cache);
-        let before = cache.len();
-        let r = matrix.run_subset_streamed_journaled(
-            tp_sched::global(),
-            indices,
-            Some(&mut cache),
-            &make_scenario,
-            emit,
-            Some(&mut on_proved),
-        );
-        // Persist atomically, and only when the job actually changed
-        // the entry set — an all-hit warm job skips the no-op rewrite.
-        // (`rejected > 0` means an entry was replaced in place, which
-        // `len()` alone cannot see.)
-        let changed = cache.len() != before || r.1.rejected > 0;
-        let mut persist_failed = false;
-        if let Some(path) = &shared.cache_path {
-            if changed {
+        };
+    let mut cache = (!nocache).then(|| lock(&shared.cache));
+    let before = cache.as_ref().map_or(0, |c| c.len());
+    let (outcomes, stats) = matrix.run_subset(
+        tp_sched::global(),
+        indices,
+        cache.as_deref_mut(),
+        &make_scenario,
+        emit,
+        Some(&mut on_proved),
+    );
+    let entries = match cache {
+        None => lock(&shared.cache).len(),
+        Some(cache) => {
+            // Persist atomically, and only when the job actually changed
+            // the entry set — an all-hit warm job skips the no-op
+            // rewrite. (`rejected > 0` means an entry was replaced in
+            // place, which `len()` alone cannot see.)
+            let changed = cache.len() != before || stats.rejected > 0;
+            let mut persist_failed = false;
+            if let (true, Some(path)) = (changed, &shared.cache_path) {
                 if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
                     eprintln!("tp-serve: cannot write cache {}: {e}", path.display());
                     persist_failed = true;
                 }
             }
-        }
-        let n = cache.len();
-        drop(cache);
-        // The job's journal is superseded by the in-memory cache (and
-        // the persisted file, when configured) — delete it, unless the
-        // persist failed and the journal is the only durable copy.
-        if let Some(p) = &jpath {
-            if !persist_failed {
+            let n = cache.len();
+            drop(cache);
+            // The job's journal is superseded by the in-memory cache
+            // (and the persisted file, when configured) — delete it,
+            // unless the persist failed and it is the only durable copy.
+            if let (false, Some(p)) = (persist_failed, &jpath) {
                 let _ = std::fs::remove_file(p);
             }
+            n
         }
-        (r, n)
     };
     job.finished.store(true, Ordering::SeqCst);
     let proved = outcomes.iter().filter(|(_, _, r)| r.is_ok()).count();

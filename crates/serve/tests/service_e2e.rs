@@ -125,7 +125,7 @@ fn wait_for_job(client: &mut Client, job: u64, pred: impl Fn(&str) -> bool) -> S
 /// in-process through the same helpers that binary uses.
 fn reference_records(models: Option<usize>, indices: &[usize]) -> String {
     let matrix = tp_bench::shaped_matrix(models);
-    let proved = tp_bench::run_matrix_cells(&matrix, indices, |_, _, _: &str| {});
+    let (proved, _, _) = tp_bench::run_matrix_cells(&matrix, indices, None, None, |_, _, _| {});
     let mut out = String::new();
     for (i, cell, report) in &proved {
         tp_core::wire::write_cell(&mut out, *i, cell, report);
@@ -351,6 +351,27 @@ fn protocol_edges_ping_status_cancel_metrics_and_malformed_lines() {
         block.iter().any(|l| l.starts_with("METRIC cache_entries ")),
         "{block:?}"
     );
+}
+
+/// A cell spec is untrusted wire input: a range billions of cells wide
+/// (or the widest legal range repeated) is refused as malformed before
+/// anything proportional to it is allocated, and the daemon keeps
+/// answering on the same connection and on new ones.
+#[test]
+fn a_huge_cell_range_is_refused_and_the_daemon_still_answers() {
+    let (addr, mut client) = start_service(ProofCache::new());
+    let repeated = vec![format!("0..{}", tp_bench::cli::MAX_CELL_INDEX); 1000].join(",");
+    for bad in [
+        "SUBMIT cells=0..4000000000".to_string(),
+        "SUBMIT models=1 cells=18446744073709551615".to_string(),
+        format!("SUBMIT cells={repeated}"),
+    ] {
+        let block = client.round_trip(&bad);
+        assert_eq!(block.len(), 1, "{block:?}");
+        assert!(block[0].starts_with("ERR code=malformed "), "{block:?}");
+        assert_eq!(client.round_trip("PING"), vec!["OK pong"]);
+    }
+    assert_eq!(Client::connect(addr).round_trip("PING"), vec!["OK pong"]);
 }
 
 #[test]
