@@ -12,7 +12,7 @@
 //!   `ExhaustiveRunner` template exists for.
 //!
 //! ```sh
-//! bench [--smoke] [--threads N] [--out FILE] [--check] [--band F] [--cache PATH]
+//! bench [--smoke] [--threads N] [--out FILE] [--check] [--band F]
 //!       [--metrics] [--trace-out FILE]
 //! ```
 //!
@@ -30,12 +30,6 @@
 //! exits nonzero on a regression beyond the band (`--band`, default
 //! [`trajectory::DEFAULT_BAND`]). A host with no comparable history
 //! passes vacuously with a note.
-//!
-//! `--cache PATH` backs the untimed correctness sweep (the run that
-//! gates `full_protection_proved`) with the content-addressed proof
-//! cache, populating/refreshing `PATH`. The *timed* iterations always
-//! run uncached — the trajectory measures the proof engine, not the
-//! cache.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -55,7 +49,6 @@ struct Args {
     out: String,
     check: bool,
     band: f64,
-    cache: Option<String>,
     metrics: bool,
     trace_out: Option<String>,
 }
@@ -67,7 +60,6 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_matrix.json".to_string(),
         check: false,
         band: trajectory::DEFAULT_BAND,
-        cache: None,
         metrics: false,
         trace_out: None,
     };
@@ -93,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
                 args.band = b;
             }
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--cache" => args.cache = Some(it.next().ok_or("--cache needs a path")?),
             "--metrics" => args.metrics = true,
             "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a path")?),
             other => return Err(format!("unknown argument {other:?}")),
@@ -104,15 +95,12 @@ fn parse_args() -> Result<Args, String> {
 
 /// The benched E11 sweep: canonical machine, all ablations, the first
 /// `models` default time models.
-fn e11_matrix(models: usize, mode: ProofMode) -> ScenarioMatrix {
+fn run_e11(models: usize, mode: ProofMode) -> MatrixReport {
     ScenarioMatrix::new("canonical", canonical_machine())
         .sweep_ablations()
         .with_models(default_time_models()[..models].to_vec())
         .with_mode(mode)
-}
-
-fn run_e11(models: usize, mode: ProofMode) -> MatrixReport {
-    e11_matrix(models, mode).run(|cell| canonical_scenario(cell.disable))
+        .run(|cell| canonical_scenario(cell.disable))
 }
 
 fn main() {
@@ -122,7 +110,7 @@ fn main() {
             eprintln!("bench: {e}");
             eprintln!(
                 "usage: bench [--smoke] [--threads N] [--out FILE] [--check] [--band F] \
-                 [--cache PATH] [--metrics] [--trace-out FILE]"
+                 [--metrics] [--trace-out FILE]"
             );
             std::process::exit(2);
         }
@@ -134,42 +122,8 @@ fn main() {
     let threads = tp_sched::global().threads();
     let (iters, models, exh_len) = if args.smoke { (1, 1, 2) } else { (3, 2, 3) };
 
-    // --- E11 sweep, digest-first certified (the default hot path).
-    // With --cache this correctness run goes through the proof cache
-    // (and refreshes it); the timed iterations below never do.
-    let report = match &args.cache {
-        None => run_e11(models, ProofMode::Certified),
-        Some(path) => {
-            let mut cache = match std::fs::read_to_string(path) {
-                Ok(text) => match tp_core::ProofCache::load(&text) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("bench: cannot parse cache {path}: {e}");
-                        std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-                    }
-                },
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => tp_core::ProofCache::new(),
-                Err(e) => {
-                    eprintln!("bench: cannot read cache {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            let matrix = e11_matrix(models, ProofMode::Certified);
-            let all: Vec<usize> = (0..matrix.cells().len()).collect();
-            let (proved, stats, _) =
-                tp_bench::run_matrix_cells(&matrix, &all, Some(&mut cache), None, |_, _, _| {});
-            eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
-            if let Err(e) =
-                tp_core::persist::write_atomic(std::path::Path::new(path), cache.save().as_bytes())
-            {
-                eprintln!("bench: cannot write cache {path}: {e}");
-                std::process::exit(2);
-            }
-            MatrixReport {
-                cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
-            }
-        }
-    };
+    // --- E11 sweep, digest-first certified (the default hot path). ---
+    let report = run_e11(models, ProofMode::Certified);
     let cells = report.cells.len();
     let monitored_steps: usize = report.cells.iter().map(|(_, r)| r.steps).sum();
     let (_, t_digest) = time_iters(iters, || run_e11(models, ProofMode::Certified));

@@ -16,15 +16,11 @@
 //! matrix --worker --cells 11..21 > b.txt
 //! matrix --merge a.txt b.txt
 //!
-//! # incremental: first run populates the cache, later runs re-prove
-//! # only cells whose inputs changed — stdout stays byte-identical
+//! # incremental and crash-safe: every freshly proved cell is appended
+//! # to the proof log as it completes; later runs (or a run after a
+//! # kill) re-prove only cells whose inputs changed or whose record was
+//! # lost — stdout stays byte-identical (`--resume` is an alias)
 //! matrix --cache proofs.cache
-//!
-//! # crash-safe: checkpoint every proved cell; if the process is
-//! # killed, resume re-proves only what the journal lost — stdout is
-//! # byte-identical to an uninterrupted run
-//! matrix --journal run.journal
-//! matrix --resume run.journal
 //!
 //! # observability: counter summary, span trace + manifest, heartbeat
 //! matrix --metrics --trace-out trace.jsonl --progress
@@ -42,7 +38,7 @@ fn main() {
             eprintln!("matrix: {e}");
             eprintln!(
                 "usage: matrix [--threads N] [--cells SPEC] [--models N] [--replay-check] \
-                 [--cache PATH] [--journal PATH | --resume PATH] [--metrics] \
+                 [--cache PATH] [--metrics] \
                  [--trace-out FILE] [--progress] [--worker | --merge FILE...]"
             );
             std::process::exit(2);
@@ -97,47 +93,9 @@ fn main() {
         }
     };
 
-    let proved = if let Some(path) = args.journal.as_deref().or(args.resume.as_deref()) {
-        run_journaled(&matrix, &indices, path, args.resume.is_some(), progress)
-    } else {
-        match &args.cache {
-            None => tp_bench::run_matrix_cells(&matrix, &indices, None, None, progress).0,
-            Some(path) => {
-                // A missing cache file is a cold start, not an error; a
-                // malformed one is untrusted input and fails loudly rather
-                // than silently proving everything live.
-                let mut cache = match std::fs::read_to_string(path) {
-                    Ok(text) => match tp_core::ProofCache::load(&text) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            eprintln!("matrix: cannot parse cache {path}: {e}");
-                            std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-                        }
-                    },
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        tp_core::ProofCache::new()
-                    }
-                    Err(e) => {
-                        eprintln!("matrix: cannot read cache {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                let (proved, stats, _) =
-                    tp_bench::run_matrix_cells(&matrix, &indices, Some(&mut cache), None, progress);
-                eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
-                // Atomic replace: a crash mid-persist must leave the
-                // previous cache intact, never a torn file that bricks
-                // the next run with EXIT_MALFORMED.
-                if let Err(e) = tp_core::persist::write_atomic(
-                    std::path::Path::new(path),
-                    cache.save().as_bytes(),
-                ) {
-                    eprintln!("matrix: cannot write cache {path}: {e}");
-                    std::process::exit(2);
-                }
-                proved
-            }
-        }
+    let proved = match &args.cache {
+        None => tp_bench::run_matrix_cells(&matrix, &indices, None, None, progress).0,
+        Some(path) => run_cached(&matrix, &indices, path, progress),
     };
 
     tp_bench::finish_telemetry(args.metrics, args.trace_out.as_deref(), indices.len());
@@ -145,104 +103,51 @@ fn main() {
     emit_output(&args, proved);
 }
 
-/// The crash-safe sweep path (`--journal` fresh / `--resume` reload):
-/// run against an in-memory cache seeded from the journal's surviving
-/// records, checkpointing every freshly proved cell back to `path`.
-/// Prints the `journal:` stats lines to stderr — the byte-identity
-/// contract keeps stdout for the report/records alone.
-fn run_journaled(
+/// The `--cache` path: open the proof store (compacting it), run
+/// against it, and append every freshly proved cell to it as one
+/// fsynced record the moment it completes. Prints the `cache:` and
+/// `journal:` stats lines to stderr — the byte-identity contract keeps
+/// stdout for the report/records alone.
+fn run_cached(
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
     path: &str,
-    resume: bool,
     progress: impl FnMut(usize, usize, &str),
 ) -> Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)> {
-    use tp_core::journal;
-
     let p = std::path::Path::new(path);
-    let mut cache = tp_core::ProofCache::new();
-    let mut torn = 0usize;
-    if resume {
-        // A missing journal is a cold start (the crash may have hit
-        // before the first append); a journal that is corrupt anywhere
-        // but its physical tail is untrusted input and fails loudly.
-        match std::fs::read_to_string(p) {
-            Ok(text) => match journal::parse_journal(&text) {
-                Ok((records, stats)) => {
-                    torn = stats.torn_dropped;
-                    eprintln!(
-                        "journal: loaded {} records ({} torn-dropped) from {path}",
-                        stats.records, stats.torn_dropped
-                    );
-                    // Compact the survivors back to disk atomically so
-                    // new appends land after valid bytes, never after a
-                    // torn tail.
-                    if let Err(e) = tp_core::persist::write_atomic(
-                        p,
-                        journal::render_journal(&records).as_bytes(),
-                    ) {
-                        eprintln!("matrix: cannot compact journal {path}: {e}");
-                        std::process::exit(2);
-                    }
-                    for r in records {
-                        cache.insert_entry(r.into_entry());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("matrix: cannot parse journal {path}: {e}");
-                    std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!("journal: {path} not found, starting cold");
-            }
-            Err(e) => {
-                eprintln!("matrix: cannot read journal {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let open = if resume {
-        journal::JournalWriter::open_append(p)
-    } else {
-        journal::JournalWriter::create(p)
-    };
-    let mut writer = match open {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("matrix: cannot open journal {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let (proved, stats, jerr) = tp_bench::run_matrix_cells(
+    let (mut cache, loaded) = tp_bench::open_store("matrix", p);
+    let mut writer = tp_core::JournalWriter::open_append(p).unwrap_or_else(|e| {
+        eprintln!("matrix: cannot open cache {path}: {e}");
+        std::process::exit(2);
+    });
+    let (proved, stats, err) = tp_bench::run_matrix_cells(
         matrix,
         indices,
         Some(&mut cache),
         Some(&mut writer),
         progress,
     );
-    if let Some(e) = jerr {
+    if let Some(e) = err {
         eprintln!(
-            "matrix: journal append failed: {e} \
-             (sweep completed; a resume would re-prove the unjournaled cells)"
+            "matrix: cache append failed: {e} \
+             (sweep completed; the next run re-proves the unrecorded cells)"
         );
     }
+    eprintln!("{}", tp_bench::cache_summary(&stats, cache.len()));
     eprintln!(
         "journal: {} replayed, {} torn-dropped, {} re-proved",
         stats.hits,
-        torn,
+        loaded.torn_dropped,
         stats.reproved()
     );
-    if resume {
-        tp_telemetry::count_n(
-            tp_telemetry::Counter::JournalRecordsReplayed,
-            stats.hits as u64,
-        );
-        tp_telemetry::count_n(
-            tp_telemetry::Counter::ResumeCellsReproved,
-            stats.reproved() as u64,
-        );
-    }
+    tp_telemetry::count_n(
+        tp_telemetry::Counter::JournalRecordsReplayed,
+        stats.hits as u64,
+    );
+    tp_telemetry::count_n(
+        tp_telemetry::Counter::ResumeCellsReproved,
+        stats.reproved() as u64,
+    );
     proved
 }
 

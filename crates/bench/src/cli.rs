@@ -18,24 +18,20 @@
 //!   NI baseline comes from a plain replay, auditing the transparency
 //!   certification. Reports are bit-identical to certified mode.
 //!
-//! * `--cache PATH` — back the sweep with the content-addressed proof
-//!   cache (`tp_core::cache`): load `PATH` if it exists, replay
-//!   validated hits, prove only changed cells, and write the updated
-//!   cache back. Reports stay byte-identical to an uncached run; the
-//!   hit/re-prove statistics go to stderr. A cache file that fails
-//!   wire parsing exits with [`EXIT_MALFORMED`]; entries that parse
-//!   but fail validation are rejected and re-proved (exit 0).
-//! * `--journal PATH` — crash-safe checkpointing (`tp_core::journal`):
-//!   start a fresh journal at `PATH` and append every proved cell as
-//!   it completes, fsynced, so a killed sweep loses at most the cell
-//!   in flight.
-//! * `--resume PATH` — reload a journal a killed `--journal` run left
-//!   behind (applying the torn-tail rule), replay records that survive
-//!   the cache validation gauntlet, re-prove the rest, and keep
-//!   journaling to `PATH`. Output is byte-identical to an
-//!   uninterrupted run. A journal that is corrupt *before* its tail
-//!   exits with [`EXIT_MALFORMED`]. Mutually exclusive with `--cache`
-//!   (the journal already carries the same evidence).
+//! * `--cache PATH` — back the sweep with the proof store: the
+//!   content-addressed cache (`tp_core::cache`) kept on disk as the
+//!   append-only framed log of `tp_core::journal`. `PATH` is loaded if
+//!   it exists (a torn final record, the trace of a killed run, is
+//!   dropped) and compacted; validated hits replay, changed or lost
+//!   cells are proved live, and each freshly proved cell is appended,
+//!   fsynced, the moment it completes — so a killed sweep loses at most
+//!   the cell in flight, and rerunning the same command resumes it.
+//!   Reports stay byte-identical to an uncached run; the hit/re-prove
+//!   statistics go to stderr. A file the log parser refuses (corrupt
+//!   before its tail, or not a framed log at all) exits with
+//!   [`EXIT_MALFORMED`] and is left untouched; entries that parse but
+//!   fail validation are rejected and re-proved (exit 0).
+//! * `--resume PATH` — an alias of `--cache PATH`.
 //!
 //! Telemetry flags (PR 8), all off by default so the proof hot path
 //! keeps its null-sink fast path:
@@ -60,8 +56,8 @@
 /// Exit code for usage errors (unknown flags, bad `--cells` specs).
 pub const EXIT_USAGE: i32 = 2;
 
-/// Exit code for malformed *input* — a `--cache` file that fails wire
-/// parsing. Distinct from [`EXIT_USAGE`] and, crucially, from the
+/// Exit code for malformed *input* — a `--cache` file the framed-log
+/// parser refuses. Distinct from [`EXIT_USAGE`] and, crucially, from the
 /// silent-degradation path: a cache entry that parses but fails the
 /// validation gauntlet is rejected and re-proved (exit 0, counted in
 /// the stderr `cache:` stats), while a file the parser cannot read at
@@ -81,12 +77,8 @@ pub struct SweepArgs {
     pub models: Option<usize>,
     /// `--replay-check`.
     pub replay_check: bool,
-    /// `--cache PATH`.
+    /// `--cache PATH` (or its alias `--resume PATH`).
     pub cache: Option<String>,
-    /// `--journal PATH` (fresh journal).
-    pub journal: Option<String>,
-    /// `--resume PATH` (reload a journal, then keep journaling).
-    pub resume: Option<String>,
     /// `--worker`.
     pub worker: bool,
     /// `--merge FILE...` (everything after the flag).
@@ -128,17 +120,9 @@ impl SweepArgs {
                     out.models = Some(n);
                 }
                 "--replay-check" => out.replay_check = true,
-                "--cache" => {
-                    let v = args.next().ok_or("--cache needs a path")?;
+                "--cache" | "--resume" => {
+                    let v = args.next().ok_or(format!("{arg} needs a path"))?;
                     out.cache = Some(v);
-                }
-                "--journal" => {
-                    let v = args.next().ok_or("--journal needs a path")?;
-                    out.journal = Some(v);
-                }
-                "--resume" => {
-                    let v = args.next().ok_or("--resume needs a path")?;
-                    out.resume = Some(v);
                 }
                 "--worker" => out.worker = true,
                 "--metrics" => out.metrics = true,
@@ -164,15 +148,6 @@ impl SweepArgs {
         }
         if out.trace_out.is_some() && !out.merge.is_empty() {
             return Err("--trace-out does not apply to --merge".into());
-        }
-        if out.journal.is_some() && out.resume.is_some() {
-            return Err("--journal starts fresh and --resume reloads; pick one".into());
-        }
-        if (out.journal.is_some() || out.resume.is_some()) && out.cache.is_some() {
-            return Err("--cache and --journal/--resume are mutually exclusive".into());
-        }
-        if (out.journal.is_some() || out.resume.is_some()) && !out.merge.is_empty() {
-            return Err("--journal/--resume do not apply to --merge".into());
         }
         Ok(out)
     }
@@ -311,22 +286,16 @@ mod tests {
 
     #[test]
     fn parses_journal_flags() {
-        let j = SweepArgs::parse(strs(&["--journal", "run.journal"])).unwrap();
-        assert_eq!(j.journal.as_deref(), Some("run.journal"));
-        assert_eq!(j.resume, None);
+        // `--resume` is an alias of `--cache`: one proof store, one path.
         let r = SweepArgs::parse(strs(&["--resume", "run.journal"])).unwrap();
-        assert_eq!(r.resume.as_deref(), Some("run.journal"));
-        assert!(SweepArgs::parse(strs(&["--journal"])).is_err());
+        assert_eq!(
+            r,
+            SweepArgs::parse(strs(&["--cache", "run.journal"])).unwrap()
+        );
         assert!(SweepArgs::parse(strs(&["--resume"])).is_err());
-        // A journaled worker shard is a valid shard.
-        let w = SweepArgs::parse(strs(&["--worker", "--journal", "j"])).unwrap();
-        assert!(w.worker && w.journal.is_some());
-        // Exclusivity: fresh-vs-resume, cache, merge.
-        assert!(SweepArgs::parse(strs(&["--journal", "a", "--resume", "a"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--journal", "a", "--cache", "c"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--resume", "a", "--cache", "c"])).is_err());
-        assert!(SweepArgs::parse(strs(&["--journal", "a", "--merge", "m"])).is_err());
         assert!(SweepArgs::parse(strs(&["--resume", "a", "--merge", "m"])).is_err());
+        // The separate fresh-journal flag is gone.
+        assert!(SweepArgs::parse(strs(&["--journal", "j"])).is_err());
     }
 
     #[test]

@@ -81,6 +81,44 @@ pub fn cache_summary(stats: &tp_core::CacheStats, entries: usize) -> String {
     )
 }
 
+/// Open the proof store at `path` for a binary named `bin`, exiting on
+/// failure: a missing file is a cold start, one the framed-log parser
+/// refuses is malformed input ([`cli::EXIT_MALFORMED`], the file left
+/// untouched), and an unreadable one is an I/O error (exit 2). A
+/// loaded log is compacted back to disk atomically before anything is
+/// appended, so new records never land after a torn tail. Prints the
+/// `journal: loaded …` line to stderr.
+pub fn open_store(
+    bin: &str,
+    path: &std::path::Path,
+) -> (tp_core::ProofCache, tp_core::JournalStats) {
+    let shown = path.display();
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            eprintln!("journal: {shown} not found, starting cold");
+            return Default::default();
+        }
+        Err(e) => {
+            eprintln!("{bin}: cannot read cache {shown}: {e}");
+            std::process::exit(2);
+        }
+    };
+    let (cache, stats) = tp_core::ProofCache::load_counted(&text).unwrap_or_else(|e| {
+        eprintln!("{bin}: cannot parse cache {shown}: {e}");
+        std::process::exit(cli::EXIT_MALFORMED);
+    });
+    eprintln!(
+        "journal: loaded {} records ({} torn-dropped) from {shown}",
+        stats.records, stats.torn_dropped
+    );
+    if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
+        eprintln!("{bin}: cannot compact cache {shown}: {e}");
+        std::process::exit(2);
+    }
+    (cache, stats)
+}
+
 /// One `--progress` heartbeat line: completed/total cells, elapsed wall
 /// time, and a linear ETA extrapolated from the streaming completion
 /// order. Pure so it is testable; the binaries decide when (and

@@ -1,10 +1,11 @@
-//! Kill/resume end-to-end through the real `matrix` binary: a sweep
-//! SIGKILLed mid-journal (via the deterministic `TP_FAULTS` harness)
-//! must resume with byte-identical stdout, re-proving only the cells
-//! the journal lost — at 1, 2 and 8 workers, because the checkpoint
-//! order must not depend on scheduling. Also pins the torn-tail drop
-//! (a crash mid-append) and the fail-closed exit for a journal
-//! corrupted anywhere but its physical tail.
+//! Kill/resume end-to-end through the real `matrix` binary: a
+//! `--cache` sweep SIGKILLed mid-append (via the deterministic
+//! `TP_FAULTS` harness) must resume with byte-identical stdout,
+//! re-proving only the cells the log lost — at 1, 2 and 8 workers,
+//! because the append order must not depend on scheduling. Also pins
+//! the torn-tail drop (a crash mid-append), the fail-closed exit for a
+//! log corrupted anywhere but its physical tail, the cold log's bytes
+//! across worker counts, and `--resume` as an alias of `--cache`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -57,7 +58,7 @@ fn crash_then_resume(threads: usize, faults: &str, replayed: usize, torn: usize)
     assert!(clean.status.success(), "clean run: {}", stderr_of(&clean));
 
     // The crash: the injected fault aborts the process mid-sweep.
-    let crashed = matrix_run(threads, &["--journal", jpath], Some(faults));
+    let crashed = matrix_run(threads, &["--cache", jpath], Some(faults));
     assert!(
         !crashed.status.success(),
         "the injected fault must kill the run"
@@ -132,7 +133,7 @@ fn corruption_before_the_tail_fails_the_resume_closed() {
     let jpath = journal.to_str().unwrap();
 
     // Build a healthy two-record journal by crashing on the third.
-    let crashed = matrix_run(2, &["--journal", jpath], Some("7:journal.append=kill@3"));
+    let crashed = matrix_run(2, &["--cache", jpath], Some("7:journal.append=kill@3"));
     assert!(!crashed.status.success());
 
     // Flip one byte in the FIRST record's payload: damage before the
@@ -152,10 +153,88 @@ fn corruption_before_the_tail_fails_the_resume_closed() {
         stderr_of(&resumed)
     );
     assert!(
-        stderr_of(&resumed).contains("cannot parse journal"),
+        stderr_of(&resumed).contains("cannot parse cache"),
         "{}",
         stderr_of(&resumed)
     );
+    assert_eq!(
+        std::fs::read(Path::new(jpath)).expect("journal readable"),
+        bytes,
+        "a refused log is left untouched"
+    );
 
     std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn a_cold_cache_log_is_byte_identical_at_every_worker_count() {
+    // Cells append in cell order whatever the schedule, so the log a
+    // cold run leaves is a pure function of the selection.
+    let logs: Vec<Vec<u8>> = [1, 2, 8]
+        .iter()
+        .map(|&threads| {
+            let log = scratch_journal();
+            let out = matrix_run(threads, &["--cache", log.to_str().unwrap()], None);
+            assert!(
+                out.status.success(),
+                "threads={threads}: {}",
+                stderr_of(&out)
+            );
+            let bytes = std::fs::read(&log).expect("the log was written");
+            std::fs::remove_file(&log).ok();
+            bytes
+        })
+        .collect();
+    assert!(
+        logs[0].starts_with(b"jrec i=0 "),
+        "a framed log, cell 0 first"
+    );
+    assert!(
+        logs[0] == logs[1] && logs[1] == logs[2],
+        "logs differ by worker count"
+    );
+}
+
+#[test]
+fn resume_is_an_alias_of_cache() {
+    // Same torn log, one run per spelling: identical stdout and
+    // identical `journal:` lines.
+    let torn = scratch_journal();
+    let crashed = matrix_run(
+        2,
+        &["--cache", torn.to_str().unwrap()],
+        Some("7:journal.append=truncate@3"),
+    );
+    assert!(
+        !crashed.status.success(),
+        "the injected fault must kill the run"
+    );
+    let text = std::fs::read(&torn).expect("the torn log was written");
+    let runs: Vec<(Vec<u8>, Vec<String>)> = ["--resume", "--cache"]
+        .iter()
+        .map(|flag| {
+            std::fs::write(&torn, &text).expect("torn log restored");
+            let out = matrix_run(2, &[flag, torn.to_str().unwrap()], None);
+            let stderr = stderr_of(&out);
+            assert!(out.status.success(), "{flag}: {stderr}");
+            let journal = stderr
+                .lines()
+                .filter(|l| l.starts_with("journal: "))
+                .map(str::to_owned)
+                .collect();
+            (out.stdout, journal)
+        })
+        .collect();
+    std::fs::remove_file(&torn).ok();
+    assert_eq!(
+        runs[0].1,
+        [
+            format!(
+                "journal: loaded 2 records (1 torn-dropped) from {}",
+                torn.display()
+            ),
+            "journal: 2 replayed, 1 torn-dropped, 4 re-proved".to_string(),
+        ]
+    );
+    assert_eq!(runs[0], runs[1], "--resume and --cache must agree");
 }

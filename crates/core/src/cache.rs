@@ -61,17 +61,17 @@
 //! addressed, and [`CACHE_SALT`] retires every entry at once whenever
 //! the engine's observable behaviour changes.
 //!
-//! ## Shipping and merging
+//! ## On disk: one framed log
 //!
-//! [`ProofCache::save`] serialises entries through [`crate::wire`] as
-//! ordinary cell record groups plus one optional `cached` record each,
-//! so cache files ship between hosts like shard outputs. Old wire
-//! files (no `cached` records) still parse everywhere; a cache file
-//! fed to the shard merge is treated as live output (the `cached`
-//! records are ignored), and [`ProofCache::load`] skips record groups
-//! without cache metadata — so caches and live shards concatenate and
-//! merge freely in both directions. Loading is last-wins per key,
-//! which makes merging two caches a file concatenation.
+//! A cache file is the append-only framed log of [`crate::journal`]:
+//! one `jrec` record per entry, each carrying one cached wire group.
+//! [`ProofCache::load`] parses it under the torn-tail rule, so a run
+//! killed mid-append loses only the record in flight;
+//! [`ProofCache::save`] renders the compacted log (key order, dense
+//! indices). Loading is last-wins per key, which makes merging two
+//! caches a file concatenation. A file the framing does not recognise
+//! — including a bare-record cache written before the framing — is
+//! malformed input, never a partial load.
 //!
 //! [`Program::content_fingerprint`]: tp_kernel::program::Program::content_fingerprint
 //! [`content_fingerprint`]: tp_kernel::config::KernelConfig::content_fingerprint
@@ -80,11 +80,11 @@
 use std::collections::BTreeMap;
 
 use crate::engine::{MatrixCell, ProofMode};
+use crate::journal::{parse_journal, push_record, JournalStats};
 use crate::noninterference::{compare_secret_digests, NiScenario, NiVerdict};
 use crate::proof::ProofReport;
 use crate::wire::{
-    enc_machine, enc_mechanism, enc_time_model, write_cell_body, write_cell_cached, CachedMeta,
-    WireError,
+    enc_machine, enc_mechanism, enc_time_model, write_cell_body, CachedMeta, WireError,
 };
 use tp_hw::clock::TimeModel;
 use tp_hw::obs::{mix_digest, OBS_DIGEST_SEED};
@@ -290,34 +290,27 @@ impl ProofCache {
         self.entries.is_empty()
     }
 
-    /// Parse a cache file (any concatenation of [`crate::wire`] record
-    /// groups). Groups carrying a `cached` record become entries,
-    /// last-wins per key — so merging caches is file concatenation.
-    /// Groups without one (live shard output mixed in) are skipped:
-    /// without fingerprints there is nothing to validate a hit
-    /// against. Malformed input is an error, never a partial load.
+    /// Parse a cache file: a framed log ([`crate::journal`]) whose
+    /// records become entries, last-wins per key — so merging caches is
+    /// file concatenation. A torn final append is dropped; anything
+    /// else malformed is an error, never a partial load.
     pub fn load(text: &str) -> Result<Self, WireError> {
-        let mut entries = BTreeMap::new();
-        for (_, cell, report, meta) in crate::wire::parse_cells_meta(text)? {
-            if let Some(m) = meta {
-                entries.insert(
-                    m.key,
-                    CacheEntry {
-                        key: m.key,
-                        salt: m.salt,
-                        check: m.check,
-                        fps: m.fps,
-                        cell,
-                        report,
-                    },
-                );
-            }
-        }
-        Ok(ProofCache { entries })
+        Self::load_counted(text).map(|(cache, _)| cache)
     }
 
-    /// Serialise every entry in key order with dense indices, ready to
-    /// ship. Byte-deterministic for a given entry set.
+    /// [`ProofCache::load`], also returning what the parse saw (records
+    /// read, torn tail dropped).
+    pub fn load_counted(text: &str) -> Result<(Self, JournalStats), WireError> {
+        let (records, stats) = parse_journal(text)?;
+        let mut cache = ProofCache::new();
+        for r in records {
+            cache.insert_entry(r.into_entry());
+        }
+        Ok((cache, stats))
+    }
+
+    /// Serialise every entry as the compacted framed log: key order,
+    /// dense indices. Byte-deterministic for a given entry set.
     pub fn save(&self) -> String {
         let mut out = String::new();
         for (i, e) in self.entries.values().enumerate() {
@@ -327,7 +320,7 @@ impl ProofCache {
                 check: e.check,
                 fps: e.fps.clone(),
             };
-            write_cell_cached(&mut out, i, &e.cell, &e.report, &meta);
+            push_record(&mut out, i, &e.cell, &e.report, &meta);
         }
         out
     }
@@ -355,7 +348,7 @@ impl ProofCache {
         );
     }
 
-    /// Absorb an already-serialised entry (journal replay, daemon
+    /// Absorb an already-serialised entry (log replay, daemon
     /// recovery) **preserving its stored salt and checksum** — unlike
     /// [`ProofCache::insert`], nothing is re-stamped, so the lookup
     /// gauntlet later judges exactly what was on disk. Last write wins

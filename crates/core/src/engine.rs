@@ -951,7 +951,7 @@ impl ScenarioMatrix {
     ///   — with the exact [`CachedMeta`] the cache stores, which is what
     ///   a [`crate::journal::JournalWriter`] appends. Hits, uncacheable
     ///   cells, failed cells and uncached sweeps never reach it, so a
-    ///   resumed run journals only what it actually re-proved.
+    ///   warm or resumed run appends only what it actually re-proved.
     /// * **Fault containment.** A cell whose proof panics yields
     ///   `Err(panic message)` in its slot instead of unwinding into the
     ///   caller; the remaining cells still complete, stream and populate

@@ -1,11 +1,14 @@
-//! Append-only per-cell checkpoint journal for crash-safe sweeps.
+//! The proof store's on-disk format: an append-only framed log.
 //!
-//! A sweep run with `matrix --journal F` (or a tp-serve job with a
-//! journal directory) appends one framed record to `F` as each
-//! cacheable cell completes, fsyncing after every record. If the
-//! process dies — `kill -9`, OOM, power loss — `matrix --resume F`
-//! reloads the survivors and re-proves only what is missing, producing
-//! stdout byte-identical to an uninterrupted run.
+//! Every proved cell that reaches disk goes through this framing.
+//! `matrix --cache F` appends one framed record to `F` as each
+//! cacheable cell completes, fsyncing after every record, and
+//! [`crate::cache::ProofCache::save`] renders a whole cache as the
+//! same log, compacted. If the process dies — `kill -9`, OOM, power
+//! loss — the next run over `F` reloads the survivors and re-proves
+//! only what is missing, producing stdout byte-identical to an
+//! uninterrupted run. tp-serve's per-job checkpoint files use the
+//! framing too.
 //!
 //! ## Record framing
 //!
@@ -14,26 +17,39 @@
 //! <payload: one wire record group, `write_cell_cached` output>
 //! ```
 //!
-//! The payload is exactly the cache wire format — the cell group, its
-//! `cached` metadata record and the `end` terminator — so a journal
-//! carries the same evidence as a cache file and is validated by the
-//! same gauntlet ([`crate::cache::validate_entry`]) before a single
-//! verdict is believed.
+//! The payload is exactly one cached wire group — the cell group, its
+//! `cached` metadata record and the `end` terminator — and every
+//! replayed record is judged by the cache validation gauntlet
+//! ([`crate::cache::validate_entry`]) before a single verdict is
+//! believed.
 //!
 //! ## The torn-tail rule
 //!
 //! A crash can only ever tear the *final* record (appends are
-//! sequential and fsynced). The parser therefore drops, silently and
-//! by design, a trailing record that is truncated or fails its framing
-//! checksum — it was never durable, so it is never trusted. Anything
-//! wrong *before* the physical tail is not a crash artifact but
-//! corruption or tampering, and the parse **fails closed** with a
-//! [`WireError`]. Dropped tails are counted under
+//! sequential and fsynced), and a torn append is always a prefix of a
+//! record: a header line with no newline yet, or a complete header
+//! whose payload runs past the end of the file (or fails its framing
+//! checksum at the very tail). The parser drops such a tail, silently
+//! and by design — it was never durable, so it is never trusted.
+//! Anything else is not a crash artifact but corruption or tampering,
+//! and the parse **fails closed** with a [`WireError`]:
+//!
+//! * damage before the physical tail;
+//! * a newline-terminated line that is not a frame header, wherever it
+//!   sits (a torn append cannot produce one);
+//! * a payload length that ends inside the file but not on a
+//!   character boundary;
+//! * a file that yields no record and does not start like one (its
+//!   first bytes are not a prefix of `jrec `) — so a foreign file, or
+//!   a bare-record cache from before this framing, is refused rather
+//!   than read as one torn append and compacted away.
+//!
+//! Dropped tails are counted under
 //! [`tp_telemetry::Counter::JournalTornDropped`].
 //!
-//! Duplicate cell indices are legal (a resumed run re-appends a cell
-//! whose earlier record failed validation) and resolve last-wins, the
-//! same rule as [`crate::cache::ProofCache::load`]. A hostile
+//! Duplicate cell indices are legal (a later run re-appends a cell
+//! whose earlier record failed validation) and resolve last-wins per
+//! cache key in [`crate::cache::ProofCache::load`]. A hostile
 //! duplicate cannot flip a verdict: every replayed record still has to
 //! survive the full cache gauntlet at lookup time.
 
@@ -57,6 +73,9 @@ pub const APPEND_POINT: &str = "journal.append";
 /// Version tag folded into every record's framing checksum, so a
 /// journal from an incompatible framing simply reads as corrupt.
 const JOURNAL_SALT: u64 = 0x7470_6a72_0000_0001;
+
+/// How every record header starts.
+const HEADER_TAG: &str = "jrec ";
 
 /// Framing checksum over a record's payload bytes.
 fn rec_check(payload: &str) -> u64 {
@@ -119,8 +138,8 @@ impl JournalWriter {
         })
     }
 
-    /// Open `path` for appending (creating it if absent) — the resume
-    /// path, after the survivors have been compacted.
+    /// Open `path` for appending (creating it if absent) — the proof
+    /// store's write side, after the log has been compacted.
     pub fn open_append(path: &Path) -> io::Result<JournalWriter> {
         Ok(JournalWriter {
             file: OpenOptions::new().create(true).append(true).open(path)?,
@@ -135,7 +154,8 @@ impl JournalWriter {
         report: &ProofReport,
         meta: &CachedMeta,
     ) -> io::Result<()> {
-        let rec = render_record(index, cell, report, meta);
+        let mut rec = String::new();
+        push_record(&mut rec, index, cell, report, meta);
         match faultpoint::fire(APPEND_POINT) {
             Some(Fault::IoError) => return Err(faultpoint::injected_io_error(APPEND_POINT)),
             Some(Fault::Truncate) => {
@@ -156,36 +176,37 @@ impl JournalWriter {
     }
 }
 
-/// Render one framed record (header line + wire payload).
-fn render_record(
+/// Append one framed record (header line + wire payload) to `out`.
+pub(crate) fn push_record(
+    out: &mut String,
     index: usize,
     cell: &MatrixCell,
     report: &ProofReport,
     meta: &CachedMeta,
-) -> String {
-    let mut payload = String::new();
-    write_cell_cached(&mut payload, index, cell, report, meta);
-    format!(
-        "jrec i={index} len={} check={}\n{payload}",
+) {
+    let start = out.len();
+    write_cell_cached(out, index, cell, report, meta);
+    let payload = &out[start..];
+    let header = format!(
+        "jrec i={index} len={} check={}\n",
         payload.len(),
-        rec_check(&payload)
-    )
+        rec_check(payload)
+    );
+    out.insert_str(start, &header);
 }
 
-/// Serialise records back to journal framing — the compaction step a
-/// resume uses (via [`crate::persist::write_atomic`]) to drop a torn
-/// tail from disk before appending after it.
+/// Serialise records in journal framing, in the given order.
 pub fn render_journal(records: &[JournalRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&render_record(r.index, &r.cell, &r.report, &r.meta));
+        push_record(&mut out, r.index, &r.cell, &r.report, &r.meta);
     }
     out
 }
 
 /// Parse a journal, applying the torn-tail rule (module docs). Returns
 /// the surviving records in append order plus the parse stats; fails
-/// closed on anything invalid that is *not* the physical tail.
+/// closed on anything invalid that is *not* a torn final append.
 pub fn parse_journal(text: &str) -> Result<(Vec<JournalRecord>, JournalStats), WireError> {
     let mut out = Vec::new();
     let mut stats = JournalStats::default();
@@ -200,24 +221,27 @@ pub fn parse_journal(text: &str) -> Result<(Vec<JournalRecord>, JournalStats), W
         let header = &text[pos..pos + nl];
         let body_start = pos + nl + 1;
         let Some((index, len, check)) = parse_header(header) else {
-            if text[body_start..].trim().is_empty() {
-                // Garbled bytes at the physical tail: torn, drop.
-                stats.torn_dropped += 1;
-                break;
-            }
             return Err(WireError::Parse {
                 line: line_no(),
                 msg: format!("bad journal header {header:?}"),
             });
         };
-        let Some(payload) = text.get(body_start..body_start + len) else {
-            // Payload runs past EOF (or splits a UTF-8 boundary at the
-            // very tail): a truncated final record. Drop it.
-            stats.torn_dropped += 1;
-            break;
+        let end = match body_start.checked_add(len) {
+            Some(end) if end <= text.len() => end,
+            // The payload runs past EOF: a truncated final record.
+            _ => {
+                stats.torn_dropped += 1;
+                break;
+            }
+        };
+        let Some(payload) = text.get(body_start..end) else {
+            return Err(WireError::Parse {
+                line: line_no(),
+                msg: format!("journal record i={index} ends inside a character"),
+            });
         };
         if rec_check(payload) != check {
-            if text[body_start + len..].trim().is_empty() {
+            if text[end..].trim().is_empty() {
                 // Checksum-invalid *final* record: the crash hit
                 // mid-payload but left the full length. Still torn.
                 stats.torn_dropped += 1;
@@ -260,7 +284,16 @@ pub fn parse_journal(text: &str) -> Result<(Vec<JournalRecord>, JournalStats), W
             meta,
         });
         stats.records += 1;
-        pos = body_start + len;
+        pos = end;
+    }
+    // Zero records and a torn tail: a crashed first append, but only
+    // if the file starts the way every append starts.
+    let head = &text.as_bytes()[..text.len().min(HEADER_TAG.len())];
+    if stats.records == 0 && !HEADER_TAG.as_bytes().starts_with(head) {
+        return Err(WireError::Parse {
+            line: 1,
+            msg: format!("not a proof log (no record, and it does not start with {HEADER_TAG:?})"),
+        });
     }
     if stats.torn_dropped > 0 {
         tp_telemetry::count_n(
@@ -273,7 +306,7 @@ pub fn parse_journal(text: &str) -> Result<(Vec<JournalRecord>, JournalStats), W
 
 /// Parse a `jrec i=N len=N check=N` header line.
 fn parse_header(line: &str) -> Option<(usize, usize, u64)> {
-    let rest = line.strip_prefix("jrec ")?;
+    let rest = line.strip_prefix(HEADER_TAG)?;
     let mut index = None;
     let mut len = None;
     let mut check = None;

@@ -32,8 +32,8 @@
 //!   changed and replay the rest, with every hit structurally
 //!   re-validated so a hostile or stale cache can never flip a verdict.
 //! * **[`journal`] / [`persist`] / [`faultpoint`]** — the crash-safety
-//!   layer: an append-only per-cell checkpoint journal with a torn-tail
-//!   rule, atomic write-temp-fsync-rename persistence for every durable
+//!   layer: the proof store's on-disk format (an append-only framed
+//!   log of cached cells with a torn-tail rule), atomic write-temp-fsync-rename persistence for every durable
 //!   artifact, and a deterministic seeded fault-injection harness
 //!   (`TP_FAULTS`) that lets CI kill and resume sweeps at planned
 //!   points and demand byte-identical final output.

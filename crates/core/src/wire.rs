@@ -85,9 +85,9 @@ impl std::error::Error for WireError {}
 /// the entry is addressed by, the engine salt it was produced under, a
 /// self-authenticating checksum over the group's canonical bytes, and
 /// the per-(model, secret) observation fingerprints its NI verdicts
-/// were derived from. Records without it — every record written before
-/// the proof cache existed, and every live worker shard — parse to
-/// `None`, so caches and live shards concatenate and merge freely.
+/// were derived from. Records without it — every live worker shard —
+/// parse to `None`. On disk each cached group is one framed record of
+/// the proof log ([`crate::journal`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedMeta {
     /// The FNV content hash of the cell's full input fingerprint.

@@ -9,13 +9,23 @@
 //! poisoned entry is rejected, the cell re-proves live, and the sweep's
 //! output stays byte-identical to an uncached run. Each case carries a
 //! passing control: the same cache untampered must hit every cell.
+//!
+//! A cache file is a framed log (`tp_core::journal`), so every tamper
+//! is applied to the cached wire groups and then *re-framed*: the
+//! framing checksum is recomputed and only the cache gauntlet stands
+//! between the forgery and a replayed verdict. The same edit applied
+//! to the raw log, with a valid record after it, must instead fail at
+//! the framing parser.
 
 use std::sync::OnceLock;
 
 use tp_core::cache::{cell_key, CacheMiss, CacheStats, ProofCache, RejectReason};
 use tp_core::engine::{MatrixCell, ProofMode, ScenarioMatrix};
+use tp_core::journal::{parse_journal, render_journal};
 use tp_core::noninterference::{NiScenario, NiVerdict};
 use tp_core::proof::{default_time_models, ProofReport};
+use tp_core::wire::{parse_cells_meta, write_cell_cached};
+use tp_core::JournalRecord;
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
 use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism};
@@ -102,7 +112,7 @@ fn warm_run(cache_text: &str) -> (Triples, CacheStats) {
 
 /// Replace the first line for which `f` returns a replacement; panics
 /// if nothing matched (a tamper that misses its target tests nothing).
-fn tamper_first(text: &str, mut f: impl FnMut(&str) -> Option<String>) -> String {
+fn tamper_lines(text: &str, f: impl Fn(&str) -> Option<String>) -> String {
     let mut hit = false;
     let mut out = String::new();
     for l in text.lines() {
@@ -119,6 +129,37 @@ fn tamper_first(text: &str, mut f: impl FnMut(&str) -> Option<String>) -> String
     }
     assert!(hit, "tamper matched no line");
     out
+}
+
+/// Apply a line tamper to the cache log two ways and return the
+/// framing-valid forgery. The log's records are unframed into their
+/// cached wire groups, tampered, parsed back and re-framed (fresh
+/// framing checksums), so the forgery loads and reaches the gauntlet.
+/// The raw leg applies the same tamper to the framed log itself, with
+/// a second copy of the log after it: damage before the tail is
+/// corruption, and the load must fail closed.
+fn tamper_first(log: &str, f: impl Fn(&str) -> Option<String>) -> String {
+    let raw = tamper_lines(log, &f);
+    assert!(
+        ProofCache::load(&format!("{raw}{log}")).is_err(),
+        "a raw edit before the tail must fail the framing parser"
+    );
+    let (records, _) = parse_journal(log).expect("fixture log parses");
+    let mut groups = String::new();
+    for r in &records {
+        write_cell_cached(&mut groups, r.index, &r.cell, &r.report, &r.meta);
+    }
+    let forged: Vec<JournalRecord> = parse_cells_meta(&tamper_lines(&groups, f))
+        .expect("tampered groups must still parse")
+        .into_iter()
+        .map(|(index, cell, report, meta)| JournalRecord {
+            index,
+            cell,
+            report,
+            meta: meta.expect("tamper keeps the cached record"),
+        })
+        .collect();
+    render_journal(&forged)
 }
 
 /// Flip the last digit of the decimal number following `prefix` on the
@@ -233,14 +274,8 @@ fn duplicated_ni_record_is_rejected() {
     let (_, good) = fixture();
     // Doubling an `ni` record leaves the group parseable but its
     // canonical serialisation — and verdict table shape — diverge.
-    let mut dup: Option<String> = None;
     let poisoned = tamper_first(good, |l| {
-        if l.starts_with("ni i=0") && dup.is_none() {
-            dup = Some(l.to_string());
-            Some(format!("{l}\n{l}"))
-        } else {
-            None
-        }
+        l.starts_with("ni i=0").then(|| format!("{l}\n{l}"))
     });
     assert_fails_closed(&poisoned, 1, "duplicated ni record");
 }
@@ -258,15 +293,16 @@ fn duplicated_entry_cannot_double_prove() {
 }
 
 #[test]
-fn truncated_cache_fails_to_parse() {
-    let (_, good) = fixture();
-    // Cut the file mid-group: the loader must refuse the whole file
-    // (callers then start cold) rather than silently half-load.
+fn truncated_cache_drops_its_torn_tail() {
+    let (reference, good) = fixture();
+    // Cut the log inside its last record — what a run killed mid-append
+    // leaves: the survivor loads, the torn cell re-proves live, and the
+    // output is byte-identical.
     let cut = good.rfind("end i=").unwrap();
-    assert!(
-        ProofCache::load(&good[..cut]).is_err(),
-        "truncated cache must not load"
-    );
+    let (triples, stats) = warm_run(&good[..cut]);
+    assert_eq!(stats.hits, 1, "the survivor replays: {stats}");
+    assert_eq!(stats.misses, 1, "the torn cell re-proves: {stats}");
+    assert_eq!(&triples, reference, "torn log: output");
     // Control: the full text loads.
     assert_eq!(ProofCache::load(good).unwrap().len(), 2);
 }

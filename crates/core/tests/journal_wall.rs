@@ -275,3 +275,50 @@ fn duplicate_records_resolve_last_wins_through_the_gauntlet() {
     assert_eq!(stats.reproved(), 1, "{stats}");
     assert_eq!(&triples, reference, "output still equals the clean run");
 }
+
+#[test]
+fn a_line_that_is_not_a_frame_header_is_corruption_wherever_it_sits() {
+    let (_, _, text) = fixture();
+    // A torn append never writes a newline after a damaged header, so
+    // a complete non-header line is never crash debris — not mid-file,
+    // and not at the tail either.
+    for junk in ["xyzzy\n", "jrec i=9 le\n", "\n"] {
+        assert!(
+            parse_journal(&format!("{text}{junk}")).is_err(),
+            "junk line {junk:?} after valid records must fail closed"
+        );
+    }
+    // A file with no record at all counts as a crashed first append
+    // only when it starts like one; anything else is not a proof log,
+    // so a caller that compacts on open never empties it.
+    for foreign in ["this is not a cache @@@\n", "xyzzy", "cell i=0"] {
+        assert!(
+            parse_journal(foreign).is_err(),
+            "foreign file {foreign:?} must fail closed"
+        );
+    }
+    for crashed in ["", "j", "jrec", "jrec i=0 len=9"] {
+        let (records, stats) = parse_journal(crashed).expect("a crashed first append");
+        assert!(records.is_empty(), "{crashed:?}");
+        assert_eq!(stats.torn_dropped, usize::from(!crashed.is_empty()));
+    }
+}
+
+#[test]
+fn payload_lengths_that_overflow_or_split_a_character_are_handled() {
+    let (_, records, text) = fixture();
+    // A length that overflows the offset runs past EOF: torn, and the
+    // parse neither panics nor wraps around.
+    let huge = format!("{text}jrec i=0 len={} check=0\nxy", u64::MAX);
+    let (kept, stats) = parse_journal(&huge).expect("an absurd length at the tail is torn");
+    assert_eq!((kept.len(), stats.torn_dropped), (records.len(), 1));
+    assert!(parse_journal(&format!("jrec i=0 len={} check=0\n", usize::MAX)).is_ok());
+
+    // A length that ends inside a multi-byte character *within* the
+    // file is corruption: it must not silently drop everything after.
+    let split = format!("jrec i=0 len=1 check=0\n\u{e9}\n{text}");
+    assert!(
+        parse_journal(&split).is_err(),
+        "a record ending mid-character before the tail must fail closed"
+    );
+}

@@ -6,14 +6,15 @@
 //!
 //! Binds (default `127.0.0.1:7477`; port `0` picks an ephemeral port),
 //! prints `tp-serve: listening on ADDR` to stdout, then serves until a
-//! client sends `SHUTDOWN`. `--cache PATH` loads a proof cache at
-//! startup and persists it (atomically, skipping no-op rewrites) after
-//! every cached job and at shutdown; the exit codes for a bad cache
-//! file match the sweep binaries (`EXIT_MALFORMED` for a file that
-//! fails wire parsing, 2 for an unreadable one). `--journal DIR` makes
-//! cached jobs crash-safe: each freshly proved cell is checkpointed to
-//! `DIR/job-<id>.journal` as it completes, and journals left behind by
-//! a killed daemon are absorbed into the cache at the next startup.
+//! client sends `SHUTDOWN`. `--cache PATH` opens the proof store (the
+//! framed log `matrix --cache` keeps) at startup, through the same
+//! `tp_bench::open_store` as the sweep binaries (`EXIT_MALFORMED` for a
+//! file the log parser refuses, 2 for an unreadable one), and persists
+//! it (atomically, skipping no-op rewrites) after every cached job and
+//! at shutdown. `--journal DIR` makes cached jobs crash-safe: each
+//! freshly proved cell is checkpointed to `DIR/job-<id>.journal` as it
+//! completes, and journals left behind by a killed daemon are absorbed
+//! into the cache at the next startup.
 
 use std::path::PathBuf;
 
@@ -49,24 +50,9 @@ fn main() {
     // Counters on by default: a daemon without METRICS is blind.
     tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
 
-    // Same trichotomy as the sweep binaries: missing file = cold start,
-    // unparseable = malformed input (own exit code), unreadable = I/O.
     let cache = match &cache_path {
         None => tp_core::ProofCache::new(),
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match tp_core::ProofCache::load(&text) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("tp-serve: cannot parse cache {}: {e}", path.display());
-                    std::process::exit(tp_bench::cli::EXIT_MALFORMED);
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => tp_core::ProofCache::new(),
-            Err(e) => {
-                eprintln!("tp-serve: cannot read cache {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        },
+        Some(path) => tp_bench::open_store("tp-serve", path).0,
     };
 
     let server = match Server::bind(&addr, cache, cache_path, journal_dir) {

@@ -85,11 +85,11 @@ pub enum Counter {
     CacheRejectCert,
     /// Hi programs scanned by the exhaustive enumeration.
     ExhPrograms,
-    /// Journal records replayed into a resumed sweep as cache hits.
+    /// Proof-log records replayed into a `--cache` sweep as hits.
     JournalRecordsReplayed,
     /// Torn trailing journal records silently dropped at parse.
     JournalTornDropped,
-    /// Cells a resumed sweep re-proved live (missing or invalid).
+    /// Cells a `--cache` sweep re-proved live (missing or invalid).
     ResumeCellsReproved,
     /// Faults the `TP_FAULTS` plan actually injected.
     FaultsInjected,
