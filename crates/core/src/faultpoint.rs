@@ -11,8 +11,8 @@
 //! * `<seed>` — a `u64` folded into every rule so one knob reshuffles
 //!   an entire chaos schedule deterministically.
 //! * `<point>` — a fault-point name (`journal.append`, `persist.write`,
-//!   `task`, `serve.stream`, …). Unknown names are legal: they simply
-//!   never fire, so plans survive refactors.
+//!   `task`, `serve.stream`, `serve.accept`, …). Unknown names are
+//!   legal: they simply never fire, so plans survive refactors.
 //! * `<action>` — what to inject: `kill` (abort the process, the
 //!   SIGKILL stand-in), `panic`, `ioerr` (the site reports an I/O
 //!   error), `truncate` (the site writes a torn prefix, then the

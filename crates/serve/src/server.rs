@@ -8,6 +8,32 @@
 //! detonating cell becomes an `err` record in one job's stream, never a
 //! dead worker.
 //!
+//! # Socket discipline
+//!
+//! A warm job is well under a millisecond of work, so the socket path
+//! must not add waits of its own:
+//!
+//! * **Blocking accept.** [`Server::serve`] sleeps in `accept()`; there
+//!   is no poll interval. `SHUTDOWN` sets the stop flag and then
+//!   connects once to the bound address (an unspecified bind address
+//!   is reached through loopback), and the loop checks the flag after
+//!   every accept and drops that wake-up connection. Transient accept
+//!   errors — an aborted handshake, an interrupted call, running out
+//!   of descriptors (after a short backoff), an injected
+//!   `serve.accept` fault — end one attempt, never the daemon; a
+//!   connection whose thread cannot be spawned is dropped alone.
+//! * **`TCP_NODELAY` and one buffered writer.** Every accepted stream
+//!   disables Nagle's algorithm, and a connection writes through one
+//!   [`BufWriter`], flushed once per `OK job=` line, once per record
+//!   group and at each block end. Unbuffered formatted writes would
+//!   send every fragment as its own segment, and Nagle would hold the
+//!   second one back until the peer's delayed ACK — tens of
+//!   milliseconds per response.
+//! * **Bounded request lines.** A request line is read under a
+//!   [`MAX_LINE`] cap; a longer one gets `ERR code=malformed` and the
+//!   connection closes, so a client that never sends a newline cannot
+//!   grow a buffer without limit.
+//!
 //! # Concurrency model
 //!
 //! Each submitted job runs its sweep on a dedicated *job thread* and
@@ -16,14 +42,23 @@
 //! vanishing kills only the stream (the sweep completes and warms the
 //! cache), and a wall-clock deadline expiring abandons only the wait
 //! (the records the client never saw become `err` records in its
-//! stream, never a wedged daemon).
+//! stream, never a wedged daemon). The connection joins the job thread
+//! before it writes `DONE` (expired jobs are left to finish in the
+//! background). Without the join, a client's next job could start
+//! while the last job thread is still exiting; with two clients,
+//! several job threads then allocate at once, and glibc gives each its
+//! own malloc arena of a few hundred KB. Joining lets the next job
+//! reuse the finished job's arena, which keeps the daemon's peak RSS
+//! down.
 //!
 //! The proof cache is one [`Mutex`]: a cached job holds it for the
 //! duration of its sweep, so concurrent cached jobs serialise (the pool
 //! underneath is already saturated by one sweep; interleaving two would
 //! only shuffle latency around). `nocache` jobs skip the lock and run
 //! concurrently. `STATUS`, `CANCEL` and `METRICS` never wait on a
-//! sweep — they touch only the job registry and telemetry.
+//! sweep — they touch only the job registry, telemetry and the entry
+//! count a cached job publishes as it releases the lock (which is also
+//! what a `nocache` job's `DONE` reports).
 //!
 //! # Cancellation and deadlines
 //!
@@ -50,22 +85,30 @@
 //! first use). `SHUTDOWN` refuses new jobs, drains the in-flight ones,
 //! persists the cache, and only then answers and exits.
 
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tp_core::engine::MatrixCell;
+use tp_core::faultpoint::{self, Fault};
 use tp_core::noninterference::NiScenario;
 use tp_core::{wire, CacheStats, JournalWriter, ProofCache, ProofReport};
 use tp_kernel::program::{Instr, Program, StepFeedback};
 
 use crate::protocol::{parse_request, Request, SubmitSpec};
 
-/// How often the accept loop polls the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Longest request line read, newline excluded; a longer one is
+/// answered `ERR code=malformed` and closes the connection.
+pub const MAX_LINE: usize = 64 * 1024;
+/// Pause after an accept error that will not clear at once (out of
+/// descriptors or memory), so the loop does not spin on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+/// Fault point fired before every `accept()`; `ioerr` makes that
+/// attempt fail as a transient accept error would.
+const ACCEPT_POINT: &str = "serve.accept";
 /// Finished jobs kept in the registry for `STATUS` history.
 const JOB_HISTORY: usize = 64;
 /// Fault point fired once per streamed record on the connection side;
@@ -123,6 +166,10 @@ struct JobEntry {
 /// State shared by every connection handler.
 struct Shared {
     cache: Mutex<ProofCache>,
+    /// `cache.len()` as of the last time a job released the cache
+    /// lock: what `METRICS` and `nocache` jobs report without waiting
+    /// on a cached sweep.
+    cache_entries: AtomicUsize,
     cache_path: Option<PathBuf>,
     journal_dir: Option<PathBuf>,
     jobs: Mutex<Vec<JobEntry>>,
@@ -133,6 +180,8 @@ struct Shared {
     draining: AtomicBool,
     /// Set last, after drain + persist: stops the accept loop.
     shutdown: AtomicBool,
+    /// Where `SHUTDOWN` connects to wake the blocked accept loop.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
@@ -228,9 +277,17 @@ impl Server {
             absorb_job_journals(dir, &mut cache, cache_path.as_deref());
         }
         let listener = TcpListener::bind(addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
+                cache_entries: AtomicUsize::new(cache.len()),
                 cache: Mutex::new(cache),
                 cache_path,
                 journal_dir,
@@ -239,6 +296,7 @@ impl Server {
                 active_jobs: AtomicUsize::new(0),
                 draining: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
+                wake_addr,
             }),
         })
     }
@@ -250,27 +308,45 @@ impl Server {
 
     /// Accept and serve connections until `SHUTDOWN`. Each connection
     /// gets its own thread; a handler that dies takes down only its
-    /// connection. Returns once the shutdown flag is observed — and
-    /// because the `SHUTDOWN` handler sets it only *after* draining
-    /// in-flight jobs and persisting the cache, returning here is
-    /// already safe to exit on.
+    /// connection. Returns once an accept observes the shutdown flag —
+    /// and because the `SHUTDOWN` handler sets it only *after* draining
+    /// in-flight jobs and persisting the cache (then connects once to
+    /// wake this loop), returning here is already safe to exit on.
+    /// Transient accept errors are retried; only an error that says the
+    /// listener itself is unusable is returned.
     pub fn serve(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         loop {
+            let accepted = match faultpoint::fire(ACCEPT_POINT) {
+                Some(Fault::IoError) => Err(faultpoint::injected_io_error(ACCEPT_POINT)),
+                _ => self.listener.accept(),
+            };
+            let stream = match accepted {
+                Ok((stream, _peer)) => stream,
+                Err(e) => match e.kind() {
+                    // One failed handshake or an interrupted call: the
+                    // listener is fine, accept again at once.
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted => continue,
+                    // The listener is not listening: nothing to retry.
+                    io::ErrorKind::InvalidInput => return Err(e),
+                    // Out of descriptors (EMFILE/ENFILE), buffers or
+                    // memory, or an injected fault: back off until
+                    // connections close, then accept again.
+                    _ => {
+                        eprintln!("tp-serve: accept failed ({e}); retrying");
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    }
+                },
+            };
             if self.shared.shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Handlers block on reads; only the accept loop polls.
-                    stream.set_nonblocking(false)?;
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || handle_conn(stream, &shared));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) => return Err(e),
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new().spawn(move || handle_conn(stream, &shared));
+            // A failed spawn drops this one connection (the closure and
+            // its stream with it); the daemon keeps accepting.
+            if let Err(e) = spawned {
+                eprintln!("tp-serve: cannot spawn connection thread ({e}); dropping it");
             }
         }
     }
@@ -340,17 +416,51 @@ fn absorb_job_journals(dir: &Path, cache: &mut ProofCache, cache_path: Option<&P
     );
 }
 
-/// Serve one connection: one request per line until EOF, shutdown, or
-/// an I/O failure (a vanished client just ends its own handler).
+/// A connection's write side: every response goes through one buffer,
+/// flushed at the points the module docs list.
+type Out = BufWriter<TcpStream>;
+
+/// Serve one connection: one request per line until EOF, shutdown, an
+/// over-long line, or an I/O failure (a vanished client just ends its
+/// own handler).
 fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
-    let mut out = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        match dispatch(&line, shared, &mut out) {
+    let mut reader = BufReader::new(read_half);
+    let mut out = BufWriter::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from one that
+        // is exactly `MAX_LINE` long.
+        let n = match (&mut reader)
+            .take(MAX_LINE as u64 + 1)
+            .read_until(b'\n', &mut line)
+        {
+            Ok(0) | Err(_) => return,
+            Ok(n) => n,
+        };
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        } else if n > MAX_LINE {
+            let _ = err_block(
+                &mut out,
+                "malformed",
+                &format!("request line longer than {MAX_LINE} bytes"),
+            );
+            return;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return;
+        };
+        match dispatch(text, shared, &mut out) {
             Ok(true) => {}
             Ok(false) | Err(_) => return,
         }
@@ -358,20 +468,20 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// Terminate a response block.
-fn end_block(out: &mut TcpStream) -> io::Result<()> {
+fn end_block(out: &mut Out) -> io::Result<()> {
     writeln!(out, ".")?;
     out.flush()
 }
 
 /// Emit an `ERR` block.
-fn err_block(out: &mut TcpStream, code: &str, msg: &str) -> io::Result<()> {
+fn err_block(out: &mut Out, code: &str, msg: &str) -> io::Result<()> {
     writeln!(out, "ERR code={code} msg={msg}")?;
     end_block(out)
 }
 
 /// Handle one request line. `Ok(false)` ends the connection (after
 /// `SHUTDOWN`); `Err` means the client is gone.
-fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut TcpStream) -> io::Result<bool> {
+fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut Out) -> io::Result<bool> {
     let req = match parse_request(line) {
         Ok(r) => r,
         Err(msg) => {
@@ -434,7 +544,11 @@ fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut TcpStream) -> io::Result
                     writeln!(out, "METRIC {} {}", c.name(), snap.counter(c))?;
                 }
                 writeln!(out, "METRIC pool_peak_queue {}", snap.peak_queue)?;
-                writeln!(out, "METRIC cache_entries {}", lock(&shared.cache).len())?;
+                writeln!(
+                    out,
+                    "METRIC cache_entries {}",
+                    shared.cache_entries.load(Ordering::SeqCst)
+                )?;
                 for k in tp_telemetry::SpanKind::ALL {
                     let (n, total_us) = snap.span(k);
                     writeln!(out, "SPAN {} n={n} total_us={total_us}", k.name())?;
@@ -481,7 +595,12 @@ fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut TcpStream) -> io::Result
             }
             writeln!(out, "OK shutting-down")?;
             end_block(out)?;
+            // Stop the accept loop: set the flag, then hand the blocked
+            // `accept()` one connection so it looks at the flag.
             shared.shutdown.store(true, Ordering::SeqCst);
+            if let Err(e) = TcpStream::connect_timeout(&shared.wake_addr, Duration::from_secs(2)) {
+                eprintln!("tp-serve: cannot wake the accept loop: {e}");
+            }
             return Ok(false);
         }
     }
@@ -515,7 +634,7 @@ fn detonate_hi(scenario: NiScenario) -> NiScenario {
 }
 
 /// Write one cell's record group as `REC `-prefixed lines.
-fn write_rec_lines(out: &mut TcpStream, rec: &str) -> io::Result<()> {
+fn write_rec_lines(out: &mut Out, rec: &str) -> io::Result<()> {
     rec.lines().try_for_each(|l| writeln!(out, "REC {l}"))?;
     out.flush()
 }
@@ -526,7 +645,7 @@ fn write_rec_lines(out: &mut TcpStream, rec: &str) -> io::Result<()> {
 /// exactly — same [`tp_bench::shaped_matrix`], same
 /// [`tp_bench::canonical_scenario`] — so the stripped `REC` payload is
 /// byte-identical to that binary's stdout for the same subset.
-fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut TcpStream) -> io::Result<()> {
+fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut Out) -> io::Result<()> {
     let matrix = tp_bench::shaped_matrix(spec.models);
     let total = matrix.cells().len();
     let indices: Vec<usize> = match spec.cells {
@@ -589,12 +708,15 @@ fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut TcpStream) -> io
                 &tx,
             )
         });
-    if let Err(e) = spawned {
-        shared.active_jobs.fetch_sub(1, Ordering::SeqCst);
-        job.finished.store(true, Ordering::SeqCst);
-        eprintln!("tp-serve: cannot spawn job thread: {e}");
-        return err_block(out, "internal", "cannot spawn job thread");
-    }
+    let job_thread = match spawned {
+        Ok(handle) => handle,
+        Err(e) => {
+            shared.active_jobs.fetch_sub(1, Ordering::SeqCst);
+            job.finished.store(true, Ordering::SeqCst);
+            eprintln!("tp-serve: cannot spawn job thread: {e}");
+            return err_block(out, "internal", "cannot spawn job thread");
+        }
+    };
 
     // The connection side: forward records, watch the deadline, and
     // turn a vanished client into a cancellation instead of an abort.
@@ -668,6 +790,9 @@ fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut TcpStream) -> io
                 stats,
                 entries,
             } => {
+                // The thread has nothing left but its own teardown;
+                // wait for it so the next job reuses its malloc arena.
+                let _ = job_thread.join();
                 if let Some(e) = io_err {
                     return Err(e);
                 }
@@ -685,6 +810,7 @@ fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut TcpStream) -> io
         }
     }
     // The channel died without a Done: the job thread panicked.
+    let _ = job_thread.join();
     match io_err {
         Some(e) => Err(e),
         None => err_block(out, "internal", "sweep thread died"),
@@ -760,7 +886,7 @@ fn run_job(
         Some(&mut on_proved),
     );
     let entries = match cache {
-        None => lock(&shared.cache).len(),
+        None => shared.cache_entries.load(Ordering::SeqCst),
         Some(cache) => {
             // Persist atomically, and only when the job actually changed
             // the entry set — an all-hit warm job skips the no-op
@@ -775,6 +901,7 @@ fn run_job(
                 }
             }
             let n = cache.len();
+            shared.cache_entries.store(n, Ordering::SeqCst);
             drop(cache);
             // The job's journal is superseded by the in-memory cache
             // (and the persisted file, when configured) — delete it,

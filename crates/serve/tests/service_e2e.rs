@@ -6,12 +6,17 @@
 //! lifecycle: SHUTDOWN drains in-flight jobs before persisting, a
 //! `deadline_ms=` expiry yields `err` records instead of a wedged
 //! daemon, a vanished client cancels only its stream, and journals
-//! left by killed daemons are absorbed at the next startup.
+//! left by killed daemons are absorbed at the next startup. The socket
+//! path is pinned too: warm jobs and `SHUTDOWN` answer without poll or
+//! Nagle stalls, `METRICS` never waits on a cached sweep, an over-long
+//! request line is refused, and a failed accept leaves the daemon up.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use tp_core::ProofCache;
@@ -36,9 +41,13 @@ impl Client {
         }
     }
 
+    /// Send one request line in one write, as a real client does: a
+    /// request split over two writes would wait on this side's Nagle
+    /// timer for the peer's delayed ACK.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("request sends");
-        self.writer.flush().expect("request flushes");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("request sends");
     }
 
     /// Read one `.`-terminated response block (the `.` excluded).
@@ -89,6 +98,44 @@ fn start_service_at(
     let addr = server.local_addr().expect("bound address resolves");
     std::thread::spawn(move || server.serve().expect("accept loop stays up"));
     (addr, Client::connect(addr))
+}
+
+/// A `tp-serve` child process, killed if the test fails before it
+/// exits.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Start the daemon binary on an ephemeral loopback port with `args`
+/// and `stderr`, and read the bound address from its banner.
+fn spawn_daemon(args: &[&str], faults: Option<&str>, stderr: Stdio) -> (Daemon, SocketAddr) {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_tp-serve"));
+    cmd.args(["--addr", "127.0.0.1:0"])
+        .args(args)
+        .env_remove("TP_FAULTS")
+        .stdout(Stdio::piped())
+        .stderr(stderr);
+    if let Some(plan) = faults {
+        cmd.env("TP_FAULTS", plan);
+    }
+    let mut daemon = Daemon(cmd.spawn().expect("daemon starts"));
+
+    // The first stdout line announces the ephemeral port.
+    let mut stdout = BufReader::new(daemon.0.stdout.take().expect("stdout piped"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("banner line");
+    let addr = banner
+        .trim()
+        .strip_prefix("tp-serve: listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .parse()
+        .expect("banner carries the bound address");
+    (daemon, addr)
 }
 
 /// A scratch path unique to this test run.
@@ -161,6 +208,22 @@ fn field(line: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {key} in {line:?}"))
         .parse()
         .unwrap_or_else(|_| panic!("bad {key} in {line:?}"))
+}
+
+/// The `METRIC <name> <value>` value from a `METRICS` block.
+fn metric(block: &[String], name: &str) -> u64 {
+    block
+        .iter()
+        .find_map(|l| l.strip_prefix(&format!("METRIC {name} ")))
+        .unwrap_or_else(|| panic!("no metric {name} in {block:?}"))
+        .parse()
+        .unwrap_or_else(|_| panic!("bad metric {name} in {block:?}"))
+}
+
+/// The median of a handful of durations, in milliseconds.
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
 }
 
 #[test]
@@ -381,24 +444,12 @@ fn the_daemon_binary_boots_persists_its_cache_and_shuts_down() {
         std::process::id(),
         SCRATCH.fetch_add(1, Ordering::SeqCst)
     ));
-    let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_tp-serve"))
-        .args(["--addr", "127.0.0.1:0", "--threads", "2", "--cache"])
-        .arg(&cache_path)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("daemon starts");
-
-    // The first stdout line announces the ephemeral port.
-    let mut stdout = BufReader::new(daemon.stdout.take().expect("stdout piped"));
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).expect("banner line");
-    let addr: SocketAddr = banner
-        .trim()
-        .strip_prefix("tp-serve: listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-        .parse()
-        .expect("banner carries the bound address");
+    let cache_arg = cache_path.to_str().expect("utf-8 temp path");
+    let (mut daemon, addr) = spawn_daemon(
+        &["--threads", "2", "--cache", cache_arg],
+        None,
+        Stdio::null(),
+    );
 
     // Prove two cells over the socket, then check the cache landed on
     // disk (the warm state a restarted daemon would reload).
@@ -409,7 +460,7 @@ fn the_daemon_binary_boots_persists_its_cache_and_shuts_down() {
     assert_eq!(ProofCache::load(&text).expect("cache parses").len(), 2);
 
     assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
-    let status = daemon.wait().expect("daemon exits");
+    let status = daemon.0.wait().expect("daemon exits");
     std::fs::remove_file(&cache_path).ok();
     assert!(status.success(), "clean shutdown exit: {status:?}");
 }
@@ -493,12 +544,8 @@ fn a_deadline_expiry_yields_err_records_and_an_expired_line_not_a_wedged_daemon(
 
     // The expiry is visible on the counters.
     let metrics = client.round_trip("METRICS");
-    let m = metrics
-        .iter()
-        .find(|l| l.starts_with("METRIC jobs_deadline_expired "))
-        .expect("expiry counter reported");
-    let expired: u64 = m.rsplit(' ').next().unwrap().parse().unwrap();
-    assert!(expired >= 1, "{m}");
+    let expired = metric(&metrics, "jobs_deadline_expired");
+    assert!(expired >= 1, "{metrics:?}");
 }
 
 #[test]
@@ -569,4 +616,179 @@ fn leftover_job_journals_are_absorbed_at_startup() {
         "absorbed journal consumed"
     );
     std::fs::remove_dir_all(&jdir).ok();
+}
+
+/// A warm one-cell job is well under a millisecond of daemon work, so
+/// its round trip must not carry a socket stall: an accept poll on a
+/// fresh connection or a Nagle/delayed-ACK wait on a reused one costs
+/// 25-45 ms per job. The bound is 250 ms per 20 jobs,
+/// taken per job at the median so one descheduled job under a loaded
+/// test run cannot fail it.
+#[test]
+fn warm_jobs_answer_at_socket_speed_on_reused_and_fresh_connections() {
+    const JOBS: usize = 20;
+    const BOUND_MS: f64 = 250.0 / JOBS as f64;
+    let (addr, mut client) = start_service(ProofCache::new());
+    let block = client.round_trip("SUBMIT models=1 cells=0..1");
+    assert_eq!(field(done_line(&block), "missed="), 1, "{block:?}");
+
+    let warm = |client: &mut Client| {
+        let t = Instant::now();
+        let block = client.round_trip("SUBMIT models=1 cells=0..1");
+        let elapsed = t.elapsed();
+        assert_eq!(field(done_line(&block), "hits="), 1, "{block:?}");
+        elapsed
+    };
+    let reused: Vec<Duration> = (0..JOBS).map(|_| warm(&mut client)).collect();
+    let fresh: Vec<Duration> = (0..JOBS)
+        .map(|_| {
+            let t = Instant::now();
+            let mut c = Client::connect(addr);
+            warm(&mut c);
+            t.elapsed()
+        })
+        .collect();
+    let (reused, fresh) = (median_ms(reused), median_ms(fresh));
+    assert!(
+        reused < BOUND_MS,
+        "reused connection: median warm job {reused:.2} ms"
+    );
+    assert!(
+        fresh < BOUND_MS,
+        "fresh connections: median warm job {fresh:.2} ms"
+    );
+}
+
+/// `SHUTDOWN` wakes the blocked accept loop itself — also when the
+/// daemon is bound to the unspecified address, which the wake-up
+/// reaches through loopback — instead of waiting for a poll tick.
+#[test]
+fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
+    let mut waits = Vec::new();
+    for _ in 0..9 {
+        let server = Server::bind("0.0.0.0:0", ProofCache::new(), None, None).expect("binds");
+        let port = server.local_addr().expect("bound address").port();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(server.serve().is_ok()));
+        let mut client = Client::connect(SocketAddr::from(([127, 0, 0, 1], port)));
+        assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+        let t = Instant::now();
+        let returned = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("serve() returns after SHUTDOWN");
+        waits.push(t.elapsed());
+        assert!(returned, "serve() returns Ok");
+    }
+    let wait = median_ms(waits);
+    assert!(
+        wait < 12.0,
+        "serve() returned a median {wait:.2} ms after OK"
+    );
+}
+
+/// `METRICS` touches no lock a sweep holds: sent while a cold cached
+/// sweep holds the cache, it answers at once with the entry count as
+/// of the last finished job, and the sweep's `DONE` comes later.
+#[test]
+fn metrics_answers_during_a_cold_cached_sweep() {
+    tp_telemetry::install(tp_telemetry::TelemetrySink::counters());
+    let (addr, mut submitter) = start_service(ProofCache::new());
+    submitter.send("SUBMIT models=5");
+    let first = submitter.read_line();
+    assert!(first.starts_with("OK job="), "{first}");
+    let cells = field(&first, "cells=");
+
+    let mut admin = Client::connect(addr);
+    let metrics = admin.round_trip("METRICS");
+    assert_eq!(metrics[0], "OK metrics");
+    assert_eq!(
+        metric(&metrics, "cache_entries"),
+        0,
+        "METRICS answered while the sweep held the cache: {metrics:?}"
+    );
+
+    let block = submitter.read_block();
+    let done = done_line(&block);
+    assert_eq!(field(done, "proved="), cells, "{done}");
+    assert_eq!(field(done, "entries="), cells, "{done}");
+    let metrics = admin.round_trip("METRICS");
+    assert_eq!(metric(&metrics, "cache_entries"), cells, "{metrics:?}");
+}
+
+/// A request line is read under a cap: 1 MiB with no newline gets
+/// `ERR code=malformed` and a closed connection instead of an
+/// ever-growing buffer, and the daemon keeps answering.
+#[test]
+fn a_request_line_without_a_newline_is_capped_and_the_daemon_still_answers() {
+    let (addr, _client) = start_service(ProofCache::new());
+    let stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    // The daemon stops reading at the cap, so the rest of the write may
+    // fail once it closes; only the answer matters.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'A'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("answer reads");
+    assert_eq!(
+        line,
+        format!(
+            "ERR code=malformed msg=request line longer than {} bytes\n",
+            tp_serve::server::MAX_LINE
+        )
+    );
+    line.clear();
+    reader.read_line(&mut line).expect("block end reads");
+    assert_eq!(line, ".\n");
+    let mut rest = Vec::new();
+    assert!(
+        matches!(reader.read_to_end(&mut rest), Ok(0) | Err(_)),
+        "connection closed after the refusal: {rest:?}"
+    );
+    flood.join().expect("writer thread");
+
+    assert_eq!(Client::connect(addr).round_trip("PING"), vec!["OK pong"]);
+}
+
+/// An accept error ends one accept attempt, not the daemon: with an
+/// `ioerr` injected at the second `accept()`, the next client is still
+/// served and the daemon exits cleanly on `SHUTDOWN`.
+#[test]
+fn an_injected_accept_error_leaves_the_daemon_serving() {
+    let (mut daemon, addr) = spawn_daemon(
+        &["--threads", "1"],
+        Some("7:serve.accept=ioerr@2"),
+        Stdio::piped(),
+    );
+    let mut first = Client::connect(addr);
+    assert_eq!(first.round_trip("PING"), vec!["OK pong"]);
+    // The accept that picks this client up is the second: it fails,
+    // and the loop accepts again after its backoff.
+    let mut second = Client::connect(addr);
+    assert_eq!(second.round_trip("PING"), vec!["OK pong"]);
+    let metrics = second.round_trip("METRICS");
+    assert_eq!(metric(&metrics, "faults_injected"), 1, "{metrics:?}");
+    assert_eq!(second.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+
+    let status = daemon.0.wait().expect("daemon exits");
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr reads");
+    assert!(
+        status.success(),
+        "clean shutdown exit: {status:?}\n{stderr}"
+    );
+    assert!(
+        stderr.contains("accept failed (injected fault: serve.accept io error)"),
+        "{stderr}"
+    );
 }
