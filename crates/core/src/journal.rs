@@ -7,8 +7,8 @@
 //! same log, compacted. If the process dies — `kill -9`, OOM, power
 //! loss — the next run over `F` reloads the survivors and re-proves
 //! only what is missing, producing stdout byte-identical to an
-//! uninterrupted run. tp-serve's per-job checkpoint files use the
-//! framing too.
+//! uninterrupted run. tp-serve's `--cache` file is the same log,
+//! appended to the same way by every cached job.
 //!
 //! ## Record framing
 //!

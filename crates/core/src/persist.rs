@@ -1,7 +1,8 @@
 //! Atomic file persistence: write-to-temp, fsync, rename.
 //!
-//! Every durable artifact in the stack — the proof cache, checkpoint
-//! journals, `BENCH_matrix.json`, trace captures — goes through
+//! Every file the stack rewrites whole — the proof store's compaction
+//! at open (`matrix --cache` and `tp-serve --cache` alike),
+//! `BENCH_matrix.json`, trace captures — goes through
 //! [`write_atomic`] so that a crash at *any* instant leaves either the
 //! previous file intact or the new file complete, never a torn hybrid
 //! that parses as valid-but-wrong or bricks a later run with
@@ -30,7 +31,7 @@ use crate::faultpoint::{self, Fault};
 pub const WRITE_POINT: &str = "persist.write";
 
 /// Process-local sequence number so concurrent writers in one process
-/// (e.g. tp-serve jobs) never share a temp file name.
+/// never share a temp file name.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Atomically replace `path` with `bytes`.

@@ -18,12 +18,16 @@
 //! * **Cache front** — warm cells are answered from the
 //!   [`tp_core::ProofCache`] (validated, never believed) without
 //!   re-proving; the `DONE` line reports hit/miss/rejected counts.
+//! * **One proof store** — with `--cache`, freshly proved cells are
+//!   appended, one fsynced frame each, to the same framed log
+//!   `matrix --cache` keeps; it is never rewritten while the daemon
+//!   serves, so a crash loses at most the cell in flight.
 //! * **Failure model** — a panicking proof task is contained by the
 //!   pool at the task boundary and becomes a per-cell `err` record in
 //!   that one job's stream; sibling cells complete and the daemon
 //!   keeps serving. This leans directly on `tp-sched`'s poison-recovery
 //!   contract; [`server`] documents the rest (cancellation, shutdown,
-//!   cache locking).
+//!   cache locking, crash safety).
 
 pub mod protocol;
 pub mod server;

@@ -1,7 +1,7 @@
 //! The `tp-serve` daemon binary.
 //!
 //! ```sh
-//! tp-serve [--addr HOST:PORT] [--threads N] [--cache PATH] [--journal DIR]
+//! tp-serve [--addr HOST:PORT] [--threads N] [--cache PATH]
 //! ```
 //!
 //! Binds (default `127.0.0.1:7477`; port `0` picks an ephemeral port),
@@ -9,19 +9,16 @@
 //! client sends `SHUTDOWN`. `--cache PATH` opens the proof store (the
 //! framed log `matrix --cache` keeps) at startup, through the same
 //! `tp_bench::open_store` as the sweep binaries (`EXIT_MALFORMED` for a
-//! file the log parser refuses, 2 for an unreadable one), and persists
-//! it (atomically, skipping no-op rewrites) after every cached job and
-//! at shutdown. `--journal DIR` makes cached jobs crash-safe: each
-//! freshly proved cell is checkpointed to `DIR/job-<id>.journal` as it
-//! completes, and journals left behind by a killed daemon are absorbed
-//! into the cache at the next startup.
+//! file the log parser refuses, 2 for an unreadable one), and appends
+//! each cell a cached job proves to it as one fsynced frame, so a
+//! killed daemon loses at most the cell in flight.
 
 use std::path::PathBuf;
 
 use tp_serve::Server;
 
 fn usage() -> ! {
-    eprintln!("usage: tp-serve [--addr HOST:PORT] [--threads N] [--cache PATH] [--journal DIR]");
+    eprintln!("usage: tp-serve [--addr HOST:PORT] [--threads N] [--cache PATH]");
     std::process::exit(tp_bench::cli::EXIT_USAGE);
 }
 
@@ -29,7 +26,6 @@ fn main() {
     let mut addr = "127.0.0.1:7477".to_string();
     let mut threads: Option<usize> = None;
     let mut cache_path: Option<PathBuf> = None;
-    let mut journal_dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -40,7 +36,6 @@ fn main() {
                 _ => usage(),
             },
             "--cache" => cache_path = Some(PathBuf::from(value())),
-            "--journal" => journal_dir = Some(PathBuf::from(value())),
             _ => usage(),
         }
     }
@@ -55,10 +50,10 @@ fn main() {
         Some(path) => tp_bench::open_store("tp-serve", path).0,
     };
 
-    let server = match Server::bind(&addr, cache, cache_path, journal_dir) {
+    let server = match Server::bind(&addr, cache, cache_path, None) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("tp-serve: cannot bind {addr}: {e}");
+            eprintln!("tp-serve: cannot start on {addr}: {e}");
             std::process::exit(1);
         }
     };

@@ -51,14 +51,15 @@
 //! reuse the finished job's arena, which keeps the daemon's peak RSS
 //! down.
 //!
-//! The proof cache is one [`Mutex`]: a cached job holds it for the
-//! duration of its sweep, so concurrent cached jobs serialise (the pool
-//! underneath is already saturated by one sweep; interleaving two would
-//! only shuffle latency around). `nocache` jobs skip the lock and run
-//! concurrently. `STATUS`, `CANCEL` and `METRICS` never wait on a
-//! sweep — they touch only the job registry, telemetry and the entry
-//! count a cached job publishes as it releases the lock (which is also
-//! what a `nocache` job's `DONE` reports).
+//! The proof cache and its `--cache` log writer share one [`Mutex`]: a
+//! cached job holds it for the duration of its sweep and appends under
+//! it, so concurrent cached jobs serialise and their frames never
+//! interleave (the pool underneath is already saturated by one sweep;
+//! interleaving two would only shuffle latency around). `nocache` jobs
+//! skip the lock and run concurrently. `STATUS`, `CANCEL` and `METRICS`
+//! never wait on a sweep — they touch only the job registry, telemetry
+//! and the entry count a cached job publishes as it releases the lock
+//! (which is also what a `nocache` job's `DONE` reports).
 //!
 //! # Cancellation and deadlines
 //!
@@ -75,19 +76,25 @@
 //!
 //! # Crash safety
 //!
-//! All cache persistence goes through [`tp_core::persist`] (atomic
-//! temp-file + fsync + rename) and is skipped when a job changed
-//! nothing — an all-hit warm job does not rewrite an identical file.
-//! With a journal directory configured, every cached job additionally
-//! checkpoints its freshly proved cells to `job-<id>.journal` as they
-//! complete; a daemon killed mid-job absorbs the surviving records at
-//! the next startup (through the full cache validation gauntlet on
-//! first use). `SHUTDOWN` refuses new jobs, drains the in-flight ones,
-//! persists the cache, and only then answers and exits.
+//! With `--cache`, the daemon keeps its proof store the way
+//! `matrix --cache` does: the file is the framed append-only log of
+//! [`tp_core::journal`], compacted by `tp_bench::open_store` before
+//! [`Server::bind`] opens it for appending. A cached job appends each
+//! freshly proved cell as one fsynced frame the moment it completes (a
+//! re-proved replacement for a rejected entry is one more frame, and
+//! the last frame for a key wins on reload), so a daemon killed mid-job
+//! loses at most the cell in flight and the next start drops its torn
+//! frame. The file is never rewritten while the daemon runs. After the
+//! first failed append the daemon appends nothing more for the rest of
+//! its life — a later successful append would put a damaged frame
+//! before the log's tail, and the next start would refuse the file —
+//! and keeps serving from memory. `SHUTDOWN` refuses new jobs, drains
+//! the in-flight ones, and only then answers and exits; every proved
+//! cell is already on disk.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -125,7 +132,7 @@ fn drain_window() -> Duration {
         .unwrap_or(Duration::from_secs(30))
 }
 
-/// Recover a poisoned lock: the guarded values (cache, job registry)
+/// Recover a poisoned lock: the guarded values (store, job registry)
 /// are structurally valid between mutations, so a handler thread that
 /// panicked mid-critical-section leaves consistent state behind — the
 /// same stance the scheduler pool takes on its injector.
@@ -163,22 +170,28 @@ struct JobEntry {
     state: Arc<JobState>,
 }
 
+/// The proof cache and the log it is appended to.
+struct Store {
+    cache: ProofCache,
+    /// The `--cache` log: `None` without one, and for good after the
+    /// first failed append.
+    log: Option<JournalWriter>,
+}
+
 /// State shared by every connection handler.
 struct Shared {
-    cache: Mutex<ProofCache>,
-    /// `cache.len()` as of the last time a job released the cache
+    store: Mutex<Store>,
+    /// `cache.len()` as of the last time a job released the store
     /// lock: what `METRICS` and `nocache` jobs report without waiting
     /// on a cached sweep.
     cache_entries: AtomicUsize,
-    cache_path: Option<PathBuf>,
-    journal_dir: Option<PathBuf>,
     jobs: Mutex<Vec<JobEntry>>,
     next_job: AtomicU64,
     /// Jobs registered but not yet finished — what `SHUTDOWN` drains.
     active_jobs: AtomicUsize,
     /// Set first (under the jobs lock): refuse new jobs, keep serving.
     draining: AtomicBool,
-    /// Set last, after drain + persist: stops the accept loop.
+    /// Set last, after the drain: stops the accept loop.
     shutdown: AtomicBool,
     /// Where `SHUTDOWN` connects to wake the blocked accept loop.
     wake_addr: SocketAddr,
@@ -258,24 +271,32 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) fronting
-    /// `cache`. When `cache_path` is set, the cache is persisted there
-    /// (atomically, and only when a job actually changed it) after
-    /// every cached job and at shutdown, so warm state survives daemon
-    /// restarts. When `journal_dir` is set, cached jobs checkpoint
-    /// each proved cell to `job-<id>.journal` in that directory, and
-    /// journals that crashed daemons left behind are absorbed into the
-    /// cache here, before the first connection.
+    /// `cache`. When `cache_path` is set, `cache` must be what that
+    /// file holds (`tp_bench::open_store` loads and compacts it): the
+    /// file is opened for appending, and every cached job appends each
+    /// freshly proved cell to it as one fsynced frame, so warm state
+    /// survives daemon restarts and crashes.
+    ///
+    /// `journal_dir` is kept only so the benchmark's existing
+    /// four-argument caller compiles, and must be `None`: `Some` is
+    /// refused with [`io::ErrorKind::InvalidInput`], because the
+    /// `--cache` log is the crash-safe store.
     pub fn bind(
         addr: &str,
         cache: ProofCache,
         cache_path: Option<PathBuf>,
         journal_dir: Option<PathBuf>,
     ) -> io::Result<Server> {
-        let mut cache = cache;
-        if let Some(dir) = &journal_dir {
-            std::fs::create_dir_all(dir)?;
-            absorb_job_journals(dir, &mut cache, cache_path.as_deref());
+        if journal_dir.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "no journal directory: the --cache log is the crash-safe store",
+            ));
         }
+        let log = cache_path
+            .as_deref()
+            .map(JournalWriter::open_append)
+            .transpose()?;
         let listener = TcpListener::bind(addr)?;
         let mut wake_addr = listener.local_addr()?;
         if wake_addr.ip().is_unspecified() {
@@ -288,9 +309,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 cache_entries: AtomicUsize::new(cache.len()),
-                cache: Mutex::new(cache),
-                cache_path,
-                journal_dir,
+                store: Mutex::new(Store { cache, log }),
                 jobs: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(1),
                 active_jobs: AtomicUsize::new(0),
@@ -310,8 +329,9 @@ impl Server {
     /// gets its own thread; a handler that dies takes down only its
     /// connection. Returns once an accept observes the shutdown flag —
     /// and because the `SHUTDOWN` handler sets it only *after* draining
-    /// in-flight jobs and persisting the cache (then connects once to
-    /// wake this loop), returning here is already safe to exit on.
+    /// in-flight jobs (whose proved cells are already appended to the
+    /// log), then connects once to wake this loop, returning here is
+    /// already safe to exit on.
     /// Transient accept errors are retried; only an error that says the
     /// listener itself is unusable is returned.
     pub fn serve(&self) -> io::Result<()> {
@@ -350,70 +370,6 @@ impl Server {
             }
         }
     }
-}
-
-/// Absorb `*.journal` files crashed jobs left in `dir` into `cache` —
-/// every record still has to survive the validation gauntlet before a
-/// verdict is believed. An absorbed journal is deleted once its
-/// records are at least as durable as the configuration allows
-/// (persisted first when `cache_path` is set); a journal that fails to
-/// parse is quarantined to `*.journal.bad` instead of trusted.
-fn absorb_job_journals(dir: &Path, cache: &mut ProofCache, cache_path: Option<&Path>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    let mut files: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().and_then(|x| x.to_str()) == Some("journal"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return;
-    }
-    let mut absorbed = 0usize;
-    let mut good = Vec::new();
-    for p in files {
-        let text = match std::fs::read_to_string(&p) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("tp-serve: cannot read journal {}: {e}", p.display());
-                continue;
-            }
-        };
-        match tp_core::journal::parse_journal(&text) {
-            Ok((records, stats)) => {
-                absorbed += stats.records;
-                for r in records {
-                    cache.insert_entry(r.into_entry());
-                }
-                good.push(p);
-            }
-            Err(e) => {
-                eprintln!(
-                    "tp-serve: journal {} is corrupt ({e}); quarantining",
-                    p.display()
-                );
-                let _ = std::fs::rename(&p, p.with_extension("journal.bad"));
-            }
-        }
-    }
-    let mut durable = true;
-    if let Some(path) = cache_path {
-        if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
-            eprintln!("tp-serve: cannot persist absorbed cache: {e}");
-            durable = false;
-        }
-    }
-    if durable {
-        for p in &good {
-            let _ = std::fs::remove_file(p);
-        }
-    }
-    eprintln!(
-        "tp-serve: absorbed {absorbed} journal record(s) from {} crashed job(s)",
-        good.len()
-    );
 }
 
 /// A connection's write side: every response goes through one buffer,
@@ -571,28 +527,6 @@ fn dispatch(line: &str, shared: &Arc<Shared>, out: &mut Out) -> io::Result<bool>
             if shared.active_jobs.load(Ordering::SeqCst) > 0 {
                 eprintln!("tp-serve: drain window expired with jobs still running");
             }
-            // Persist after the drain so the final cache includes every
-            // drained job. A wedged sweep still holding the lock must
-            // not wedge shutdown too: bounded try-lock, then give up on
-            // persistence (the per-job persists already ran).
-            if let Some(path) = &shared.cache_path {
-                let lock_deadline = Instant::now() + Duration::from_secs(2);
-                loop {
-                    if let Ok(cache) = shared.cache.try_lock() {
-                        if let Err(e) =
-                            tp_core::persist::write_atomic(path, cache.save().as_bytes())
-                        {
-                            eprintln!("tp-serve: cannot write cache {}: {e}", path.display());
-                        }
-                        break;
-                    }
-                    if Instant::now() >= lock_deadline {
-                        eprintln!("tp-serve: cache busy at shutdown; keeping last persisted state");
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
             writeln!(out, "OK shutting-down")?;
             end_block(out)?;
             // Stop the accept loop: set the flag, then hand the blocked
@@ -699,7 +633,6 @@ fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut Out) -> io::Resu
         .spawn(move || {
             run_job(
                 &worker_shared,
-                job_id,
                 &js,
                 &matrix,
                 &job_indices,
@@ -818,13 +751,11 @@ fn run_submit(shared: &Arc<Shared>, spec: SubmitSpec, out: &mut Out) -> io::Resu
 }
 
 /// The job-thread body: run the sweep (cached or not), stream each
-/// cell over `tx`, persist what changed, and finish with a
+/// cell over `tx`, append what it proved to the log, and finish with a
 /// [`Msg::Done`]. Runs to completion even when nobody is listening —
 /// a cancelled or expired job still warms the cache.
-#[allow(clippy::too_many_arguments)]
 fn run_job(
     shared: &Arc<Shared>,
-    job_id: u64,
     job: &Arc<JobState>,
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
@@ -851,64 +782,36 @@ fn run_job(
         let _ = tx.send(Msg::Rec(rec));
     };
 
-    // A cached job checkpoints every freshly proved cell to its own
-    // journal (under `--journal DIR`) and holds the cache for its whole
-    // sweep; a `nocache` job touches neither.
-    let jpath = shared
-        .journal_dir
-        .as_ref()
-        .filter(|_| !nocache)
-        .map(|d| d.join(format!("job-{job_id}.journal")));
-    let mut jwriter = jpath.as_ref().and_then(|p| match JournalWriter::create(p) {
-        Ok(w) => Some(w),
-        Err(e) => {
-            eprintln!("tp-serve: cannot open journal {}: {e}", p.display());
-            None
-        }
-    });
-    let mut on_proved =
+    // A cached job holds the store for its whole sweep and appends every
+    // freshly proved cell to the log; a `nocache` job touches neither.
+    let mut store = (!nocache).then(|| lock(&shared.store));
+    let mut no_log = None;
+    let (cache, log) = match store.as_deref_mut() {
+        Some(Store { cache, log }) => (Some(cache), log),
+        None => (None, &mut no_log),
+    };
+    let mut append =
         |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &wire::CachedMeta| {
-            if let Some(w) = jwriter.as_mut() {
-                if let Err(e) = w.append(i, cell, report, meta) {
-                    eprintln!("tp-serve: journal append failed for job {job_id}: {e}");
-                    jwriter = None;
-                }
+            if let Some(Err(e)) = log.as_mut().map(|w| w.append(i, cell, report, meta)) {
+                eprintln!(
+                    "tp-serve: cache append failed: {e} (appending no more; serving from memory)"
+                );
+                *log = None;
             }
         };
-    let mut cache = (!nocache).then(|| lock(&shared.cache));
-    let before = cache.as_ref().map_or(0, |c| c.len());
     let (outcomes, stats) = matrix.run_subset(
         tp_sched::global(),
         indices,
-        cache.as_deref_mut(),
+        cache,
         &make_scenario,
         emit,
-        Some(&mut on_proved),
+        Some(&mut append),
     );
-    let entries = match cache {
+    let entries = match store {
         None => shared.cache_entries.load(Ordering::SeqCst),
-        Some(cache) => {
-            // Persist atomically, and only when the job actually changed
-            // the entry set — an all-hit warm job skips the no-op
-            // rewrite. (`rejected > 0` means an entry was replaced in
-            // place, which `len()` alone cannot see.)
-            let changed = cache.len() != before || stats.rejected > 0;
-            let mut persist_failed = false;
-            if let (true, Some(path)) = (changed, &shared.cache_path) {
-                if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
-                    eprintln!("tp-serve: cannot write cache {}: {e}", path.display());
-                    persist_failed = true;
-                }
-            }
-            let n = cache.len();
+        Some(store) => {
+            let n = store.cache.len();
             shared.cache_entries.store(n, Ordering::SeqCst);
-            drop(cache);
-            // The job's journal is superseded by the in-memory cache
-            // (and the persisted file, when configured) — delete it,
-            // unless the persist failed and it is the only durable copy.
-            if let (false, Some(p)) = (persist_failed, &jpath) {
-                let _ = std::fs::remove_file(p);
-            }
             n
         }
     };

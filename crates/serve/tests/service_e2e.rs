@@ -3,18 +3,20 @@
 //! resubmits answered from the cache, a detonating cell contained as
 //! one `err` record while the daemon keeps serving, the protocol edges
 //! (PING/STATUS/CANCEL/METRICS/malformed/SHUTDOWN), and the crash-safe
-//! lifecycle: SHUTDOWN drains in-flight jobs before persisting, a
+//! lifecycle: SHUTDOWN drains in-flight jobs before answering, a
 //! `deadline_ms=` expiry yields `err` records instead of a wedged
-//! daemon, a vanished client cancels only its stream, and journals
-//! left by killed daemons are absorbed at the next startup. The socket
-//! path is pinned too: warm jobs and `SHUTDOWN` answer without poll or
-//! Nagle stalls, `METRICS` never waits on a cached sweep, an over-long
-//! request line is refused, and a failed accept leaves the daemon up.
+//! daemon, a vanished client cancels only its stream, the `--cache`
+//! log is appended to and never rewritten, a daemon killed mid-append
+//! restarts from its torn log, and a failed append stops appending
+//! while the daemon keeps serving. The socket path is pinned too: warm
+//! jobs and `SHUTDOWN` answer without poll or Nagle stalls, `METRICS`
+//! never waits on a cached sweep, an over-long request line is
+//! refused, and a failed accept leaves the daemon up.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -84,17 +86,13 @@ impl Client {
 /// Bind an in-process service on an ephemeral port and serve it from a
 /// background thread.
 fn start_service(cache: ProofCache) -> (SocketAddr, Client) {
-    start_service_at(cache, None, None)
+    start_service_at(cache, None)
 }
 
-/// [`start_service`] with persistence knobs.
-fn start_service_at(
-    cache: ProofCache,
-    cache_path: Option<PathBuf>,
-    journal_dir: Option<PathBuf>,
-) -> (SocketAddr, Client) {
-    let server =
-        Server::bind("127.0.0.1:0", cache, cache_path, journal_dir).expect("service binds");
+/// [`start_service`] appending to the log at `cache_path`, which must
+/// hold what `cache` holds.
+fn start_service_at(cache: ProofCache, cache_path: Option<PathBuf>) -> (SocketAddr, Client) {
+    let server = Server::bind("127.0.0.1:0", cache, cache_path, None).expect("service binds");
     let addr = server.local_addr().expect("bound address resolves");
     std::thread::spawn(move || server.serve().expect("accept loop stays up"));
     (addr, Client::connect(addr))
@@ -136,6 +134,21 @@ fn spawn_daemon(args: &[&str], faults: Option<&str>, stderr: Stdio) -> (Daemon, 
         .parse()
         .expect("banner carries the bound address");
     (daemon, addr)
+}
+
+/// Wait for a daemon started with piped stderr to exit; its status and
+/// everything it wrote to stderr.
+fn exit_and_stderr(daemon: &mut Daemon) -> (ExitStatus, String) {
+    let status = daemon.0.wait().expect("daemon exits");
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr reads");
+    (status, stderr)
 }
 
 /// A scratch path unique to this test run.
@@ -459,21 +472,25 @@ fn the_daemon_binary_boots_persists_its_cache_and_shuts_down() {
     let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
     assert_eq!(ProofCache::load(&text).expect("cache parses").len(), 2);
 
+    // The log is only ever appended to: an all-hit resubmit and the
+    // shutdown leave it byte-for-byte as the cold job left it.
+    let block = client.round_trip("SUBMIT models=1 cells=0..2");
+    assert_eq!(field(done_line(&block), "hits="), 2, "{block:?}");
+    let after_warm = std::fs::read_to_string(&cache_path).expect("cache reads");
+    assert_eq!(after_warm, text, "an all-hit job rewrote the log");
+
     assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
     let status = daemon.0.wait().expect("daemon exits");
+    let after_shutdown = std::fs::read_to_string(&cache_path).expect("cache reads");
     std::fs::remove_file(&cache_path).ok();
     assert!(status.success(), "clean shutdown exit: {status:?}");
+    assert_eq!(after_shutdown, text, "SHUTDOWN rewrote the log");
 }
 
 #[test]
 fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
     let cache_path = scratch_path("drain.cache");
-    let jdir = scratch_path("drain.journal.d");
-    let (addr, mut submitter) = start_service_at(
-        ProofCache::new(),
-        Some(cache_path.clone()),
-        Some(jdir.clone()),
-    );
+    let (addr, mut submitter) = start_service_at(ProofCache::new(), Some(cache_path.clone()));
 
     // Start a sweep, and only after its job is registered (the OK line
     // proves it) ask a second connection to shut the daemon down.
@@ -494,19 +511,12 @@ fn shutdown_drains_the_in_flight_job_persists_and_only_then_answers() {
     );
     assert_eq!(field(done_line(&block), "proved="), 7);
 
-    // And the drained work is durable: the persisted cache carries all
-    // seven entries, and the job's journal was superseded and removed.
+    // And the drained work is durable: the log carries all seven
+    // entries.
     let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
     assert_eq!(ProofCache::load(&text).expect("cache parses").len(), 7);
-    let leftovers: Vec<_> = std::fs::read_dir(&jdir)
-        .expect("journal dir exists")
-        .flatten()
-        .map(|e| e.path())
-        .collect();
-    assert!(leftovers.is_empty(), "journals cleaned up: {leftovers:?}");
 
     std::fs::remove_file(&cache_path).ok();
-    std::fs::remove_dir_all(&jdir).ok();
 }
 
 #[test]
@@ -570,52 +580,184 @@ fn a_vanished_client_cancels_its_stream_but_the_sweep_still_warms_the_cache() {
     assert_eq!(field(done_line(&block), "hits="), 7, "{block:?}");
 }
 
+/// A daemon killed partway through an append leaves one torn frame at
+/// the tail of its log and nothing else: the restart drops that frame,
+/// keeps the three cells appended before it, and re-proves only the
+/// rest, streaming the same bytes as `matrix --worker`.
 #[test]
-fn leftover_job_journals_are_absorbed_at_startup() {
-    use tp_core::engine::MatrixCell;
-    use tp_core::wire::CachedMeta;
-    use tp_core::ProofReport;
+fn a_daemon_killed_mid_append_restarts_from_its_torn_log() {
+    let cache_path = scratch_path("torn.cache");
+    let cache_arg = cache_path.to_str().expect("utf-8 temp path");
+    let args = ["--threads", "2", "--cache", cache_arg];
 
-    let jdir = scratch_path("absorb.journal.d");
-    std::fs::create_dir_all(&jdir).expect("journal dir");
-
-    // Fabricate what a killed daemon leaves behind: a per-job journal
-    // holding five proved cells, written through the real writer.
-    let matrix = tp_bench::shaped_matrix(Some(1));
-    let indices: Vec<usize> = (0..5).collect();
-    let mut seed_cache = ProofCache::new();
-    let mut writer =
-        tp_core::JournalWriter::create(&jdir.join("job-9.journal")).expect("journal opens");
-    let mut on_proved = |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &CachedMeta| {
-        writer.append(i, cell, report, meta).expect("append");
-    };
-    matrix.run_subset_journaled(
-        tp_sched::global(),
-        &indices,
-        &mut seed_cache,
-        |cell| tp_bench::canonical_scenario(cell.disable),
-        |_, _, _| {},
-        Some(&mut on_proved),
+    // The fourth append writes half its frame, then aborts the daemon.
+    let (mut doomed, addr) =
+        spawn_daemon(&args, Some("7:journal.append=truncate@4"), Stdio::null());
+    let mut client = Client::connect(addr);
+    client.send("SUBMIT models=1 cells=0..7");
+    // The read ends when the daemon dies (or, if it never does, at the
+    // timeout, and the stream then carries the DONE line).
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut stream = Vec::new();
+    let _ = client.reader.read_to_end(&mut stream);
+    let stream = String::from_utf8_lossy(&stream);
+    assert!(
+        !stream.contains("DONE "),
+        "the job never finished: {stream}"
     );
-    drop(writer);
+    let status = doomed.0.wait().expect("daemon exits");
+    assert!(!status.success(), "the injected crash kills the daemon");
 
-    // A daemon started over that directory begins warm: the records
-    // are absorbed (and the journal consumed) before the first job.
-    let (_addr, mut client) = start_service_at(ProofCache::new(), None, Some(jdir.clone()));
-    let block = client.round_trip("SUBMIT models=1 cells=0..5");
+    let (mut daemon, addr) = spawn_daemon(&args, None, Stdio::piped());
+    let mut client = Client::connect(addr);
+    let block = client.round_trip("SUBMIT models=1 cells=0..7");
     assert_eq!(
         stripped_records(&block),
-        reference_records(Some(1), &indices),
-        "absorbed stream"
+        reference_records(Some(1), &[0, 1, 2, 3, 4, 5, 6]),
+        "restarted stream"
     );
     let done = done_line(&block);
-    assert_eq!(field(done, "hits="), 5, "{done}");
-    assert_eq!(field(done, "missed="), 0, "{done}");
+    assert_eq!(field(done, "hits="), 3, "{done}");
+    assert_eq!(field(done, "missed="), 4, "{done}");
+    assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+
+    let (status, stderr) = exit_and_stderr(&mut daemon);
+    std::fs::remove_file(&cache_path).ok();
     assert!(
-        !jdir.join("job-9.journal").exists(),
-        "absorbed journal consumed"
+        status.success(),
+        "clean shutdown exit: {status:?}\n{stderr}"
     );
-    std::fs::remove_dir_all(&jdir).ok();
+    assert!(
+        stderr.contains("journal: loaded 3 records (1 torn-dropped)"),
+        "{stderr}"
+    );
+}
+
+/// The first failed append ends appending for the daemon's life (a
+/// later one would land after a damaged frame, and the next start
+/// would refuse the file) with one stderr line; the daemon keeps
+/// serving from memory, and a restart reloads what reached the log
+/// before the failure.
+#[test]
+fn a_failed_append_stops_appending_and_the_daemon_keeps_serving() {
+    let cache_path = scratch_path("ioerr.cache");
+    let cache_arg = cache_path.to_str().expect("utf-8 temp path");
+    let args = ["--threads", "2", "--cache", cache_arg];
+
+    let (mut daemon, addr) = spawn_daemon(&args, Some("7:journal.append=ioerr@2"), Stdio::piped());
+    let mut client = Client::connect(addr);
+    let block = client.round_trip("SUBMIT models=1 cells=0..4");
+    assert_eq!(field(done_line(&block), "proved="), 4, "{block:?}");
+    let metrics = client.round_trip("METRICS");
+    assert_eq!(metric(&metrics, "faults_injected"), 1, "{metrics:?}");
+    let block = client.round_trip("SUBMIT models=1 cells=0..4");
+    assert_eq!(field(done_line(&block), "hits="), 4, "{block:?}");
+    assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+    let (status, stderr) = exit_and_stderr(&mut daemon);
+    assert!(
+        status.success(),
+        "clean shutdown exit: {status:?}\n{stderr}"
+    );
+    assert_eq!(stderr.matches("cache append failed").count(), 1, "{stderr}");
+
+    let (mut daemon, addr) = spawn_daemon(&args, None, Stdio::piped());
+    let mut client = Client::connect(addr);
+    let block = client.round_trip("SUBMIT models=1 cells=0..4");
+    let done = done_line(&block);
+    assert_eq!(field(done, "hits="), 1, "{done}");
+    assert_eq!(field(done, "missed="), 3, "{done}");
+    assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
+    let (status, stderr) = exit_and_stderr(&mut daemon);
+    std::fs::remove_file(&cache_path).ok();
+    assert!(
+        status.success(),
+        "clean shutdown exit: {status:?}\n{stderr}"
+    );
+    assert!(
+        stderr.contains("journal: loaded 1 records (0 torn-dropped)"),
+        "{stderr}"
+    );
+}
+
+/// A cached entry that fails validation is re-proved, and its
+/// replacement is one more frame appended to the log: the forged frame
+/// stays in place, and the last frame for the key wins on reload.
+#[test]
+fn a_rejected_entry_is_replaced_by_one_appended_frame() {
+    use tp_core::journal::{parse_journal, render_journal};
+    let cache_path = scratch_path("rejected.cache");
+    let (_addr, mut client) = start_service_at(ProofCache::new(), Some(cache_path.clone()));
+    let block = client.round_trip("SUBMIT models=1 cells=0..2");
+    assert_eq!(field(done_line(&block), "missed="), 2, "{block:?}");
+
+    // Corrupt the first entry's checksum and re-frame it, so the log
+    // parses and validation, not the parser, rejects the entry.
+    let text = std::fs::read_to_string(&cache_path).expect("cache persisted");
+    let (mut records, _) = parse_journal(&text).expect("log parses");
+    records[0].meta.check ^= 1;
+    let forged = render_journal(&records);
+    std::fs::write(&cache_path, &forged).expect("forged log writes");
+
+    let cache = ProofCache::load(&forged).expect("forged log parses");
+    let (_addr, mut client) = start_service_at(cache, Some(cache_path.clone()));
+    let block = client.round_trip("SUBMIT models=1 cells=0..2");
+    assert_eq!(
+        stripped_records(&block),
+        reference_records(Some(1), &[0, 1]),
+        "self-healed stream"
+    );
+    let done = done_line(&block);
+    assert_eq!(field(done, "hits="), 1, "{done}");
+    assert_eq!(field(done, "rejected="), 1, "{done}");
+
+    let healed = std::fs::read_to_string(&cache_path).expect("cache reads");
+    assert!(healed.starts_with(&forged), "the log was rewritten");
+    let (records, _) = parse_journal(&healed).expect("healed log parses");
+    assert_eq!(records.len(), 3, "one replacement frame appended");
+    let cache = ProofCache::load(&healed).expect("healed log loads");
+    assert_eq!(cache.len(), 2, "last frame per key wins");
+    let (_addr, mut client) = start_service_at(cache, Some(cache_path.clone()));
+    let block = client.round_trip("SUBMIT models=1 cells=0..2");
+    let done = done_line(&block);
+    assert_eq!(field(done, "hits="), 2, "{done}");
+    assert_eq!(field(done, "rejected="), 0, "{done}");
+    std::fs::remove_file(&cache_path).ok();
+}
+
+/// The `--cache` log is the only crash-safe store: `bind` refuses a
+/// journal directory, and the binary has no `--journal` flag.
+#[test]
+fn a_journal_directory_is_refused() {
+    let dir = scratch_path("journal.d");
+    let err = Server::bind("127.0.0.1:0", ProofCache::new(), None, Some(dir.clone()))
+        .err()
+        .expect("bind refuses a journal directory");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("--cache"), "{err}");
+
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_tp-serve"))
+            .args(["--addr", "127.0.0.1:0", "--journal"])
+            .arg(&dir)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let give_up = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("daemon waits") {
+            break status;
+        }
+        assert!(Instant::now() < give_up, "tp-serve --journal kept running");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(tp_bench::cli::EXIT_USAGE), "{status:?}");
+    assert!(!dir.exists(), "no journal directory created");
 }
 
 /// A warm one-cell job is well under a millisecond of daemon work, so
@@ -774,15 +916,7 @@ fn an_injected_accept_error_leaves_the_daemon_serving() {
     assert_eq!(metric(&metrics, "faults_injected"), 1, "{metrics:?}");
     assert_eq!(second.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
 
-    let status = daemon.0.wait().expect("daemon exits");
-    let mut stderr = String::new();
-    daemon
-        .0
-        .stderr
-        .take()
-        .expect("stderr piped")
-        .read_to_string(&mut stderr)
-        .expect("stderr reads");
+    let (status, stderr) = exit_and_stderr(&mut daemon);
     assert!(
         status.success(),
         "clean shutdown exit: {status:?}\n{stderr}"
