@@ -72,9 +72,8 @@ fn main() {
     }
 
     println!("\n=== Scenario matrix (the suite as one engine run) ===");
-    let (proved, _, _) = tp_bench::run_matrix_cells(&matrix, &indices, None, None, |_, _, line| {
-        eprintln!("{line}")
-    });
+    let (proved, _) =
+        tp_bench::run_matrix_cells(&matrix, &indices, None, |_, _, line| eprintln!("{line}"));
     print!(
         "{}",
         tp_bench::render_matrix_report(&tp_core::MatrixReport {

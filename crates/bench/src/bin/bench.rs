@@ -21,8 +21,7 @@
 //! Output goes to `BENCH_matrix.json` (or `--out`): a
 //! `tp-bench/matrix-v2` trajectory — an append-only `runs` history,
 //! each entry tagged with host metadata (threads, CPUs, git rev,
-//! timestamp). A bare v1 snapshot parses too and migrates on the next
-//! write.
+//! timestamp).
 //!
 //! `--check` is the CI trend gate: instead of appending, the fresh
 //! measurement is compared against the best *comparable* committed run
@@ -215,8 +214,7 @@ fn main() {
         }
     };
 
-    // Load whatever history the output file already holds (v1 snapshots
-    // migrate to a one-entry history).
+    // Load whatever history the output file already holds.
     let history = match std::fs::read_to_string(&args.out) {
         Ok(text) => match Trajectory::parse(&text) {
             Ok(t) => t,

@@ -94,7 +94,7 @@ fn main() {
     };
 
     let proved = match &args.cache {
-        None => tp_bench::run_matrix_cells(&matrix, &indices, None, None, progress).0,
+        None => tp_bench::run_matrix_cells(&matrix, &indices, None, progress).0,
         Some(path) => run_cached(&matrix, &indices, path, progress),
     };
 
@@ -103,31 +103,20 @@ fn main() {
     emit_output(&args, proved);
 }
 
-/// The `--cache` path: open the proof store (compacting it), run
-/// against it, and append every freshly proved cell to it as one
-/// fsynced record the moment it completes. Prints the `cache:` and
-/// `journal:` stats lines to stderr — the byte-identity contract keeps
-/// stdout for the report/records alone.
+/// The `--cache` path: open the proof store, run against it — the
+/// cache appends every freshly proved cell to its log as one fsynced
+/// record the moment it completes. Prints the `cache:` and `journal:`
+/// stats lines to stderr — the byte-identity contract keeps stdout for
+/// the report/records alone.
 fn run_cached(
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
     path: &str,
     progress: impl FnMut(usize, usize, &str),
 ) -> Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)> {
-    let p = std::path::Path::new(path);
-    let (mut cache, loaded) = tp_bench::open_store("matrix", p);
-    let mut writer = tp_core::JournalWriter::open_append(p).unwrap_or_else(|e| {
-        eprintln!("matrix: cannot open cache {path}: {e}");
-        std::process::exit(2);
-    });
-    let (proved, stats, err) = tp_bench::run_matrix_cells(
-        matrix,
-        indices,
-        Some(&mut cache),
-        Some(&mut writer),
-        progress,
-    );
-    if let Some(e) = err {
+    let (mut cache, loaded) = tp_bench::open_store("matrix", std::path::Path::new(path));
+    let (proved, stats) = tp_bench::run_matrix_cells(matrix, indices, Some(&mut cache), progress);
+    if let Some(e) = cache.take_log_error() {
         eprintln!(
             "matrix: cache append failed: {e} \
              (sweep completed; the next run re-proves the unrecorded cells)"

@@ -20,15 +20,15 @@
 //!
 //! * `--cache PATH` — back the sweep with the proof store: the
 //!   content-addressed cache (`tp_core::cache`) kept on disk as the
-//!   append-only framed log of `tp_core::journal`. `PATH` is loaded if
-//!   it exists (a torn final record, the trace of a killed run, is
-//!   dropped) and compacted; validated hits replay, changed or lost
-//!   cells are proved live, and each freshly proved cell is appended,
+//!   framed log of `tp_core::journal`. The log is only ever appended
+//!   to; open cuts a torn tail (the trace of a killed run). Validated
+//!   hits replay, changed or lost cells are proved live, and each
+//!   freshly proved cell is appended,
 //!   fsynced, the moment it completes — so a killed sweep loses at most
 //!   the cell in flight, and rerunning the same command resumes it.
 //!   Reports stay byte-identical to an uncached run; the hit/re-prove
-//!   statistics go to stderr. A file the log parser refuses (corrupt
-//!   before its tail, or not a framed log at all) exits with
+//!   statistics go to stderr. A file that is not a proof log (corrupt
+//!   before its tail, not a framed log, or not UTF-8) exits with
 //!   [`EXIT_MALFORMED`] and is left untouched; entries that parse but
 //!   fail validation are rejected and re-proved (exit 0).
 //! * `--resume PATH` — an alias of `--cache PATH`.

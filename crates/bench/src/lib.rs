@@ -81,42 +81,38 @@ pub fn cache_summary(stats: &tp_core::CacheStats, entries: usize) -> String {
     )
 }
 
-/// Open the proof store at `path` for a binary named `bin`, exiting on
-/// failure: a missing file is a cold start, one the framed-log parser
-/// refuses is malformed input ([`cli::EXIT_MALFORMED`], the file left
-/// untouched), and an unreadable one is an I/O error (exit 2). A
-/// loaded log is compacted back to disk atomically before anything is
-/// appended, so new records never land after a torn tail. Prints the
-/// `journal: loaded …` line to stderr.
+/// Open the proof store at `path` ([`tp_core::ProofCache::open`]) for a
+/// binary named `bin`, exiting on failure: a file that is not a proof
+/// log is malformed input ([`cli::EXIT_MALFORMED`], the file left
+/// untouched), and one that cannot be read or appended to is an I/O
+/// error (exit 2). The returned cache owns the log. Prints the
+/// `journal: loaded …` (or `not found`) line to stderr.
 pub fn open_store(
     bin: &str,
     path: &std::path::Path,
 ) -> (tp_core::ProofCache, tp_core::JournalStats) {
     let shown = path.display();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+    match tp_core::ProofCache::open(path) {
+        Ok((cache, None)) => {
             eprintln!("journal: {shown} not found, starting cold");
-            return Default::default();
+            (cache, Default::default())
+        }
+        Ok((cache, Some(stats))) => {
+            eprintln!(
+                "journal: loaded {} records ({} torn-dropped) from {shown}",
+                stats.records, stats.torn_dropped
+            );
+            (cache, stats)
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            eprintln!("{bin}: cannot parse cache {shown}: {e}");
+            std::process::exit(cli::EXIT_MALFORMED);
         }
         Err(e) => {
-            eprintln!("{bin}: cannot read cache {shown}: {e}");
+            eprintln!("{bin}: cannot open cache {shown}: {e}");
             std::process::exit(2);
         }
-    };
-    let (cache, stats) = tp_core::ProofCache::load_counted(&text).unwrap_or_else(|e| {
-        eprintln!("{bin}: cannot parse cache {shown}: {e}");
-        std::process::exit(cli::EXIT_MALFORMED);
-    });
-    eprintln!(
-        "journal: loaded {} records ({} torn-dropped) from {shown}",
-        stats.records, stats.torn_dropped
-    );
-    if let Err(e) = tp_core::persist::write_atomic(path, cache.save().as_bytes()) {
-        eprintln!("{bin}: cannot compact cache {shown}: {e}");
-        std::process::exit(2);
     }
-    (cache, stats)
 }
 
 /// One `--progress` heartbeat line: completed/total cells, elapsed wall
@@ -800,7 +796,7 @@ pub fn report_e14(max_len: usize) -> String {
 pub fn report_matrix() -> String {
     let matrix = canonical_matrix();
     let all: Vec<usize> = (0..matrix.cells().len()).collect();
-    let (proved, _, _) = run_matrix_cells(&matrix, &all, None, None, |_, _, _| {});
+    let (proved, _) = run_matrix_cells(&matrix, &all, None, |_, _, _| {});
     render_matrix_report(&tp_core::MatrixReport {
         cells: proved.into_iter().map(|(_, c, r)| (c, r)).collect(),
     })
@@ -819,23 +815,18 @@ pub fn report_matrix() -> String {
 /// back; output (reports, progress lines, and anything serialised from
 /// the returned triples) stays byte-identical to the uncached path, and
 /// the hit/re-prove statistics come back for the caller to print on
-/// stderr. A `journal` (which needs a `cache`: it records what the
-/// cache would insert) gets every freshly proved cacheable cell
-/// appended — fsynced — the moment it completes, so a killed process
-/// loses at most the cell in flight. Journal I/O failures do **not**
-/// abort the sweep: the first error is returned for the caller to
-/// report, and further appends are skipped rather than spamming a sick
-/// disk.
+/// stderr. A cache that owns a log ([`open_store`]) appends every
+/// freshly proved cacheable cell to it, fsynced, the moment it
+/// completes; a failed append does not abort the sweep (see
+/// [`tp_core::ProofCache::take_log_error`]).
 pub fn run_matrix_cells(
     matrix: &tp_core::ScenarioMatrix,
     indices: &[usize],
     cache: Option<&mut tp_core::ProofCache>,
-    mut journal: Option<&mut tp_core::JournalWriter>,
     mut progress: impl FnMut(usize, usize, &str),
 ) -> (
     Vec<(usize, tp_core::MatrixCell, tp_core::ProofReport)>,
     tp_core::CacheStats,
-    Option<std::io::Error>,
 ) {
     let total = indices.len();
     let mut done = 0usize;
@@ -849,35 +840,15 @@ pub fn run_matrix_cells(
         let line = format!("[{done}/{total}] cell {ci}: {:<28} {verdict}", cell.label());
         progress(done, total, &line);
     };
-    let mut jerr: Option<std::io::Error> = None;
-    let mut on_proved = |i: usize,
-                         cell: &tp_core::MatrixCell,
-                         report: &tp_core::ProofReport,
-                         meta: &tp_core::wire::CachedMeta| {
-        if jerr.is_some() {
-            return;
-        }
-        if let Some(j) = journal.as_deref_mut() {
-            jerr = j.append(i, cell, report, meta).err();
-        }
-    };
     let scenario = |cell: &tp_core::MatrixCell| canonical_scenario(cell.disable);
     let pool = tp_sched::global();
-    let (proved, stats) = match cache {
-        Some(cache) => matrix.run_subset_journaled(
-            pool,
-            indices,
-            cache,
-            scenario,
-            on_cell,
-            Some(&mut on_proved),
-        ),
+    match cache {
+        Some(cache) => matrix.run_subset_cached(pool, indices, cache, scenario, on_cell),
         None => (
             matrix.run_subset_streamed(pool, indices, scenario, on_cell),
             tp_core::CacheStats::default(),
         ),
-    };
-    (proved, stats, jerr)
+    }
 }
 
 /// Render a [`tp_core::MatrixReport`] the way `bin/matrix` prints it.

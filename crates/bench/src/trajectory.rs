@@ -420,8 +420,9 @@ pub struct RunRecord {
     pub ns_per_step: f64,
     /// `exhaustive.programs_per_sec` — secondary gate (higher is better).
     pub programs_per_sec: f64,
-    /// Host metadata; `None` for migrated v1 entries, which therefore
-    /// never serve as a baseline.
+    /// Host metadata; `None` for the oldest committed run (measured
+    /// before runs carried it), which therefore never serves as a
+    /// baseline.
     pub host: Option<HostInfo>,
     /// The complete run object.
     pub json: Json,
@@ -501,29 +502,22 @@ pub struct Trajectory {
 }
 
 impl Trajectory {
-    /// Parse a trajectory file. Accepts both the v2 `runs`-array schema
-    /// and a bare v1 single-run object (migrated to a one-entry
-    /// history; v1 runs carry no host metadata, so they are kept for
-    /// the record but never gate anything).
+    /// Parse a v2 trajectory file (a `runs` array). A run without host
+    /// metadata is kept for the record but never gates anything.
     pub fn parse(text: &str) -> Result<Trajectory, String> {
         let v = Json::parse(text)?;
-        let schema = v.get("schema").and_then(Json::as_str).unwrap_or("");
-        match schema {
-            "tp-bench/matrix-v2" => {
-                let runs = match v.get("runs") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(|r| RunRecord::from_json(r.clone()))
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err("v2 trajectory missing \"runs\" array".into()),
-                };
-                Ok(Trajectory { runs })
-            }
-            "tp-bench/matrix-v1" => Ok(Trajectory {
-                runs: vec![RunRecord::from_json(v)?],
-            }),
-            other => Err(format!("unknown trajectory schema {other:?}")),
+        match v.get("schema").and_then(Json::as_str).unwrap_or("") {
+            "tp-bench/matrix-v2" => {}
+            other => return Err(format!("unknown trajectory schema {other:?}")),
         }
+        let runs = match v.get("runs") {
+            Some(Json::Arr(items)) => items
+                .iter()
+                .map(|r| RunRecord::from_json(r.clone()))
+                .collect::<Result<Vec<_>, _>>()?,
+            _ => return Err("v2 trajectory missing \"runs\" array".into()),
+        };
+        Ok(Trajectory { runs })
     }
 
     /// Append a run, dropping the oldest beyond [`MAX_RUNS`].
@@ -707,16 +701,19 @@ mod tests {
         assert!(best_comparable(&history, &foreign).is_none());
     }
 
-    #[test]
-    fn v1_file_migrates_to_one_hostless_run() {
-        let v1 = r#"{
+    /// The one run the committed `BENCH_matrix.json` opens with.
+    const HOSTLESS_RUN: &str = r#"{
   "schema": "tp-bench/matrix-v1",
   "smoke": false,
   "threads": 1,
   "e11": {"ns_per_step": 179.973, "cells_per_sec": 100.012},
   "exhaustive": {"programs_per_sec": 15370.082}
 }"#;
-        let t = Trajectory::parse(v1).unwrap();
+
+    #[test]
+    fn a_hostless_run_parses_but_never_gates() {
+        let v2 = format!("{{\"schema\": \"tp-bench/matrix-v2\", \"runs\": [{HOSTLESS_RUN}]}}");
+        let t = Trajectory::parse(&v2).unwrap();
         assert_eq!(t.runs.len(), 1);
         assert!(t.runs[0].host.is_none());
         assert_eq!(t.runs[0].ns_per_step, 179.973);
@@ -726,6 +723,12 @@ mod tests {
             check_trend(&t.runs, &fresh, DEFAULT_BAND),
             TrendVerdict::NoComparableBaseline
         );
+    }
+
+    #[test]
+    fn a_bare_v1_file_is_refused() {
+        let err = Trajectory::parse(HOSTLESS_RUN).unwrap_err();
+        assert!(err.contains("tp-bench/matrix-v1"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `TP_FAULTS` harness) must resume with byte-identical stdout,
 //! re-proving only the cells the log lost — at 1, 2 and 8 workers,
 //! because the append order must not depend on scheduling. Also pins
-//! the torn-tail drop (a crash mid-append), the fail-closed exit for a
+//! the torn-tail drop (a crash mid-append), a failed append that stops
+//! appending without failing the sweep, the fail-closed exit for a
 //! log corrupted anywhere but its physical tail, the cold log's bytes
 //! across worker counts, and `--resume` as an alias of `--cache`.
 
@@ -92,8 +93,16 @@ fn crash_then_resume(threads: usize, faults: &str, replayed: usize, torn: usize)
         "threads={threads} faults={faults}: resumed stdout must be byte-identical"
     );
 
-    // The compaction rewrote the journal clean: a second resume
-    // replays everything and re-proves nothing.
+    // The resume cut the torn tail and appended the re-proved cells:
+    // the log now parses whole, one record per cell, and a second
+    // resume replays everything and re-proves nothing.
+    let text = std::fs::read_to_string(&journal).expect("log readable");
+    let (_, stats) = tp_core::journal::parse_journal(&text).expect("the log parses");
+    assert_eq!(
+        (stats.records, stats.torn_dropped),
+        (6, 0),
+        "threads={threads} faults={faults}: the resumed log is whole"
+    );
     let again = matrix_run(threads, &["--resume", jpath], None);
     let stderr = stderr_of(&again);
     assert!(again.status.success(), "second resume: {stderr}");
@@ -125,6 +134,38 @@ fn a_crash_mid_append_leaves_a_torn_tail_that_resume_drops() {
     for threads in [1, 8] {
         crash_then_resume(threads, "7:journal.append=truncate@2", 1, 1);
     }
+}
+
+#[test]
+fn a_failed_append_stops_appending_and_the_sweep_completes() {
+    // ioerr@2: the first append lands, the second fails. The cache
+    // appends nothing more, the sweep still completes byte-identical,
+    // and the error is reported once.
+    let log = scratch_journal();
+    let lpath = log.to_str().unwrap();
+    let clean = matrix_run(2, &[], None);
+    let failed = matrix_run(2, &["--cache", lpath], Some("7:journal.append=ioerr@2"));
+    let stderr = stderr_of(&failed);
+    assert!(
+        failed.status.success(),
+        "a failed append is not fatal: {stderr}"
+    );
+    assert_eq!(clean.stdout, failed.stdout, "stdout is unaffected");
+    assert_eq!(
+        stderr.matches("cache append failed").count(),
+        1,
+        "reported exactly once: {stderr}"
+    );
+
+    let next = matrix_run(2, &["--cache", lpath], None);
+    let stderr = stderr_of(&next);
+    assert!(next.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("journal: loaded 1 records (0 torn-dropped)"),
+        "only the first append reached the log: {stderr}"
+    );
+    assert_eq!(clean.stdout, next.stdout);
+    std::fs::remove_file(&log).ok();
 }
 
 #[test]
@@ -169,7 +210,9 @@ fn corruption_before_the_tail_fails_the_resume_closed() {
 #[test]
 fn a_cold_cache_log_is_byte_identical_at_every_worker_count() {
     // Cells append in cell order whatever the schedule, so the log a
-    // cold run leaves is a pure function of the selection.
+    // cold run leaves is a pure function of the selection. A warm run
+    // then writes nothing: with the atomic writer armed to kill the
+    // process on first use, it still succeeds and the log is unchanged.
     let logs: Vec<Vec<u8>> = [1, 2, 8]
         .iter()
         .map(|&threads| {
@@ -181,6 +224,21 @@ fn a_cold_cache_log_is_byte_identical_at_every_worker_count() {
                 stderr_of(&out)
             );
             let bytes = std::fs::read(&log).expect("the log was written");
+            let warm = matrix_run(
+                threads,
+                &["--cache", log.to_str().unwrap()],
+                Some("7:persist.write=kill@1"),
+            );
+            assert!(
+                warm.status.success(),
+                "threads={threads}: a warm run must not rewrite the log: {}",
+                stderr_of(&warm)
+            );
+            assert_eq!(
+                std::fs::read(&log).expect("the log is still there"),
+                bytes,
+                "threads={threads}: a warm run leaves the log untouched"
+            );
             std::fs::remove_file(&log).ok();
             bytes
         })

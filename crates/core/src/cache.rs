@@ -63,24 +63,27 @@
 //!
 //! ## On disk: one framed log
 //!
-//! A cache file is the append-only framed log of [`crate::journal`]:
-//! one `jrec` record per entry, each carrying one cached wire group.
-//! [`ProofCache::load`] parses it under the torn-tail rule, so a run
-//! killed mid-append loses only the record in flight;
-//! [`ProofCache::save`] renders the compacted log (key order, dense
-//! indices). Loading is last-wins per key, which makes merging two
-//! caches a file concatenation. A file the framing does not recognise
-//! — including a bare-record cache written before the framing — is
-//! malformed input, never a partial load.
+//! A cache file is the framed log of [`crate::journal`]: one `jrec`
+//! record per entry, each carrying one cached wire group. A cache
+//! opened on it ([`ProofCache::open`]) owns it and appends every cell
+//! inserted into it as one fsynced frame. The log is only ever appended
+//! to; open cuts a torn tail, so a run killed mid-append loses only the
+//! record in flight. Loading is last-wins per key, which makes merging
+//! two caches a file concatenation. A file the framing does not
+//! recognise — including a bare-record cache written before the
+//! framing — is malformed input, never a partial load.
 //!
 //! [`Program::content_fingerprint`]: tp_kernel::program::Program::content_fingerprint
 //! [`content_fingerprint`]: tp_kernel::config::KernelConfig::content_fingerprint
 //! [`TransparencyCert`]: crate::noninterference::TransparencyCert
 
 use std::collections::BTreeMap;
+use std::fs::{self, OpenOptions};
+use std::io;
+use std::path::Path;
 
 use crate::engine::{MatrixCell, ProofMode};
-use crate::journal::{parse_journal, push_record, JournalStats};
+use crate::journal::{parse_journal, push_record, JournalStats, JournalWriter};
 use crate::noninterference::{compare_secret_digests, NiScenario, NiVerdict};
 use crate::proof::ProofReport;
 use crate::wire::{
@@ -272,6 +275,11 @@ impl core::fmt::Display for CacheStats {
 #[derive(Debug, Default)]
 pub struct ProofCache {
     entries: BTreeMap<u64, CacheEntry>,
+    /// The log proved cells are appended to: `None` without one, and
+    /// for good after the first failed append.
+    log: Option<JournalWriter>,
+    /// That first failed append's error, until taken.
+    log_error: Option<io::Error>,
 }
 
 impl ProofCache {
@@ -309,8 +317,51 @@ impl ProofCache {
         Ok((cache, stats))
     }
 
-    /// Serialise every entry as the compacted framed log: key order,
-    /// dense indices. Byte-deterministic for a given entry set.
+    /// Open the proof store at `path` and own it as this cache's log
+    /// (see the module docs). A missing file is an empty store and
+    /// comes back without stats. A file that is not a proof log — one
+    /// the parser refuses, or not UTF-8 — is an
+    /// [`io::ErrorKind::InvalidData`] error and is left byte-identical.
+    /// A torn final record is cut off at [`JournalStats::durable_len`]
+    /// and the cut synced; nothing else is written.
+    pub fn open(path: &Path) -> io::Result<(Self, Option<JournalStats>)> {
+        let (mut cache, stats) = match fs::read_to_string(path) {
+            Ok(text) => {
+                let (cache, stats) = Self::load_counted(&text)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                (cache, Some(stats))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (Self::new(), None),
+            Err(e) => return Err(e),
+        };
+        if let Some(s) = stats.filter(|s| s.torn_dropped > 0) {
+            // Cut the torn tail, durably, before anything lands after it.
+            let file = OpenOptions::new().write(true).open(path)?;
+            file.set_len(s.durable_len as u64)?;
+            file.sync_all()?;
+        }
+        cache.attach_log(path)?;
+        Ok((cache, stats))
+    }
+
+    /// Append every cell inserted into this cache from now on to the log
+    /// at `path`, created if absent. The file must hold what this cache
+    /// was loaded from, with no torn tail, as after [`ProofCache::open`].
+    pub fn attach_log(&mut self, path: &Path) -> io::Result<()> {
+        self.log = Some(JournalWriter::open_append(path)?);
+        Ok(())
+    }
+
+    /// The error of the first failed log append, handed out once.
+    /// After it the cache appends nothing more: a later append that
+    /// succeeded would put a damaged frame before the log's tail, and
+    /// the next open would refuse the file.
+    pub fn take_log_error(&mut self) -> Option<io::Error> {
+        self.log_error.take()
+    }
+
+    /// Serialise every entry as one framed log: key order, dense
+    /// indices. Byte-deterministic for a given entry set.
     pub fn save(&self) -> String {
         let mut out = String::new();
         for (i, e) in self.entries.values().enumerate() {
@@ -326,26 +377,42 @@ impl ProofCache {
     }
 
     /// Store a freshly proved cell under `key`, stamping the current
-    /// [`CACHE_SALT`] and a recomputed checksum.
+    /// [`CACHE_SALT`] and a recomputed checksum, and — with a log
+    /// attached — append it as one fsynced frame recording `index`, the
+    /// cell's global matrix index. Returns the metadata stored.
     pub fn insert(
         &mut self,
+        index: usize,
         key: u64,
         cell: MatrixCell,
         report: ProofReport,
         fps: Vec<(u64, usize, u64)>,
-    ) {
+    ) -> CachedMeta {
         let check = entry_check(key, CACHE_SALT, &fps, &cell, &report);
+        let meta = CachedMeta {
+            key,
+            salt: CACHE_SALT,
+            check,
+            fps,
+        };
+        if let Some(log) = self.log.as_mut() {
+            if let Err(err) = log.append(index, &cell, &report, &meta) {
+                self.log = None;
+                self.log_error = Some(err);
+            }
+        }
         self.entries.insert(
             key,
             CacheEntry {
                 key,
                 salt: CACHE_SALT,
                 check,
-                fps,
+                fps: meta.fps.clone(),
                 cell,
                 report,
             },
         );
+        meta
     }
 
     /// Absorb an already-serialised entry (log replay, daemon

@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::cache::{entry_check, CacheMiss, CacheStats, ProofCache, CACHE_SALT};
+use crate::cache::{CacheMiss, CacheStats, ProofCache};
 use crate::exhaustive::{
     recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
     ExhaustiveRunner, ExhaustiveVerdict,
@@ -941,13 +941,14 @@ impl ScenarioMatrix {
     ///   **validated** hit replays the stored report without running
     ///   anything; misses (absent, rejected or uncacheable cells) are
     ///   proved live, and freshly proved cacheable cells are inserted
-    ///   back with their observation fingerprints. A hit's report equals
+    ///   back with their observation fingerprints (which appends them
+    ///   to the cache's log, if it owns one). A hit's report equals
     ///   the live one whenever the key matches, and a hit that fails
     ///   validation degrades to a live re-prove — a bad cache can cost
     ///   time, never change output. `None` proves every cell live,
     ///   leaves [`CacheStats`] zero and counts no cache telemetry.
     /// * **Checkpoint hook.** `on_proved` fires once per freshly proved
-    ///   cacheable cell — after the merge, right before the cache insert
+    ///   cacheable cell — after the merge, right after the cache insert
     ///   — with the exact [`CachedMeta`] the cache stores, which is what
     ///   a [`crate::journal::JournalWriter`] appends. Hits, uncacheable
     ///   cells, failed cells and uncached sweeps never reach it, so a
@@ -1064,16 +1065,10 @@ impl ScenarioMatrix {
                     }
                     .map(|(report, fps)| {
                         if let (Some(k), Some(c)) = (key, cache.as_deref_mut()) {
+                            let meta = c.insert(ci, k, cell.clone(), report.clone(), fps);
                             if let Some(j) = on_proved.as_mut() {
-                                let meta = CachedMeta {
-                                    key: k,
-                                    salt: CACHE_SALT,
-                                    check: entry_check(k, CACHE_SALT, &fps, cell, &report),
-                                    fps: fps.clone(),
-                                };
                                 j(ci, cell, &report, &meta);
                             }
-                            c.insert(k, cell.clone(), report.clone(), fps);
                         }
                         report
                     })

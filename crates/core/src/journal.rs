@@ -1,14 +1,13 @@
 //! The proof store's on-disk format: an append-only framed log.
 //!
-//! Every proved cell that reaches disk goes through this framing.
-//! `matrix --cache F` appends one framed record to `F` as each
-//! cacheable cell completes, fsyncing after every record, and
-//! [`crate::cache::ProofCache::save`] renders a whole cache as the
-//! same log, compacted. If the process dies — `kill -9`, OOM, power
-//! loss — the next run over `F` reloads the survivors and re-proves
-//! only what is missing, producing stdout byte-identical to an
-//! uninterrupted run. tp-serve's `--cache` file is the same log,
-//! appended to the same way by every cached job.
+//! Every proved cell that reaches disk goes through this framing: a
+//! [`crate::cache::ProofCache`] opened on a file owns it as its log and
+//! appends each freshly proved cell as one fsynced record
+//! (`matrix --cache F` and `tp-serve --cache F` alike). The log is only
+//! ever appended to; open cuts a torn tail. If the process dies —
+//! `kill -9`, OOM, power loss — the next run reloads the survivors and
+//! re-proves only what is missing, producing stdout byte-identical to
+//! an uninterrupted run.
 //!
 //! ## Record framing
 //!
@@ -30,7 +29,8 @@
 //! record: a header line with no newline yet, or a complete header
 //! whose payload runs past the end of the file (or fails its framing
 //! checksum at the very tail). The parser drops such a tail, silently
-//! and by design — it was never durable, so it is never trusted.
+//! and by design — it was never durable, so it is never trusted — and
+//! reports where it starts ([`JournalStats::durable_len`]).
 //! Anything else is not a crash artifact but corruption or tampering,
 //! and the parse **fails closed** with a [`WireError`]:
 //!
@@ -42,7 +42,7 @@
 //! * a file that yields no record and does not start like one (its
 //!   first bytes are not a prefix of `jrec `) — so a foreign file, or
 //!   a bare-record cache from before this framing, is refused rather
-//!   than read as one torn append and compacted away.
+//!   than read as one torn append and cut away.
 //!
 //! Dropped tails are counted under
 //! [`tp_telemetry::Counter::JournalTornDropped`].
@@ -122,6 +122,8 @@ pub struct JournalStats {
     pub records: usize,
     /// Torn trailing records silently dropped.
     pub torn_dropped: usize,
+    /// Bytes before the torn tail (all of them when nothing was torn).
+    pub durable_len: usize,
 }
 
 /// An open journal being appended to.
@@ -138,9 +140,9 @@ impl JournalWriter {
         })
     }
 
-    /// Open `path` for appending (creating it if absent) — the proof
-    /// store's write side, after the log has been compacted.
-    pub fn open_append(path: &Path) -> io::Result<JournalWriter> {
+    /// Open `path` for appending, creating it if absent — the proof
+    /// store's write side ([`crate::cache::ProofCache::attach_log`]).
+    pub(crate) fn open_append(path: &Path) -> io::Result<JournalWriter> {
         Ok(JournalWriter {
             file: OpenOptions::new().create(true).append(true).open(path)?,
         })
@@ -286,6 +288,7 @@ pub fn parse_journal(text: &str) -> Result<(Vec<JournalRecord>, JournalStats), W
         stats.records += 1;
         pos = end;
     }
+    stats.durable_len = pos;
     // Zero records and a torn tail: a crashed first append, but only
     // if the file starts the way every append starts.
     let head = &text.as_bytes()[..text.len().min(HEADER_TAG.len())];

@@ -1,16 +1,16 @@
 //! Atomic file persistence: write-to-temp, fsync, rename.
 //!
-//! Every file the stack rewrites whole — the proof store's compaction
-//! at open (`matrix --cache` and `tp-serve --cache` alike),
-//! `BENCH_matrix.json`, trace captures — goes through
-//! [`write_atomic`] so that a crash at *any* instant leaves either the
-//! previous file intact or the new file complete, never a torn hybrid
-//! that parses as valid-but-wrong or bricks a later run with
-//! `EXIT_MALFORMED`. The recipe is the classic one: write the full
-//! payload to a uniquely-named temporary file *in the same directory*
-//! (so the rename cannot cross filesystems), `fsync` it, then
-//! `rename(2)` over the destination and best-effort `fsync` the
-//! directory to make the rename itself durable.
+//! Every file the stack rewrites whole — `BENCH_matrix.json`, trace
+//! captures — goes through [`write_atomic`] so that a crash at *any*
+//! instant leaves either the previous file intact or the new file
+//! complete, never a torn hybrid that parses as valid-but-wrong. The
+//! recipe is the classic one: write the full payload to a
+//! uniquely-named temporary file *in the same directory* (so the
+//! rename cannot cross filesystems), `fsync` it, then `rename(2)` over
+//! the destination and best-effort `fsync` the directory to make the
+//! rename itself durable. The proof store is not rewritten this way:
+//! its log is only ever appended to; open cuts a torn tail
+//! ([`crate::journal`]).
 //!
 //! The body of the temp-file write carries the [`WRITE_POINT`] fault
 //! point, so the chaos harness can tear or kill a persist mid-flight

@@ -364,7 +364,7 @@ fn self_consistent_forgeries_are_still_rejected() {
         event_a: None,
         event_b: None,
     };
-    forged.insert(key, cell.clone(), r, fps.clone());
+    forged.insert(0, key, cell.clone(), r, fps.clone());
     reject(&forged, RejectReason::VerdictMismatch, "verdict flip");
 
     // Forge the certificate away from the first fingerprint.
@@ -373,19 +373,20 @@ fn self_consistent_forgeries_are_still_rejected() {
     let cert = r.transparency.as_mut().unwrap();
     cert.monitored_digest ^= 1;
     cert.replay_digest = cert.monitored_digest;
-    forged.insert(key, cell.clone(), r, fps.clone());
+    forged.insert(0, key, cell.clone(), r, fps.clone());
     reject(&forged, RejectReason::CertMismatch, "cert forgery");
 
     // Swap two secrets' fingerprints out of live order.
     let mut forged = ProofCache::new();
     let mut swapped = fps.clone();
     swapped.swap(0, 1);
-    forged.insert(key, cell.clone(), report.clone(), swapped);
+    forged.insert(0, key, cell.clone(), report.clone(), swapped);
     reject(&forged, RejectReason::FingerprintShape, "fps reorder");
 
     // Drop a model's worth of fingerprints.
     let mut forged = ProofCache::new();
     forged.insert(
+        0,
         key,
         cell.clone(),
         report.clone(),
@@ -395,12 +396,12 @@ fn self_consistent_forgeries_are_still_rejected() {
 
     // Claim another cell's identity under this key.
     let mut forged = ProofCache::new();
-    forged.insert(key, cells[1].clone(), report.clone(), fps.clone());
+    forged.insert(0, key, cells[1].clone(), report.clone(), fps.clone());
     reject(&forged, RejectReason::CellMismatch, "cell swap");
 
     // Address a differently-keyed entry (a relocation attack).
     let mut forged = ProofCache::new();
-    forged.insert(key ^ 1, cell.clone(), report.clone(), fps.clone());
+    forged.insert(0, key ^ 1, cell.clone(), report.clone(), fps.clone());
     match forged.lookup(key, cell, &models, &scenario.secrets) {
         Err(CacheMiss::Absent) => {}
         other => panic!("relocated key must be absent, got {:?}", other.err()),
@@ -408,6 +409,6 @@ fn self_consistent_forgeries_are_still_rejected() {
 
     // Control: the honest entry re-inserted validates.
     let mut honest = ProofCache::new();
-    honest.insert(key, cell.clone(), report, fps);
+    honest.insert(0, key, cell.clone(), report, fps);
     assert!(honest.lookup(key, cell, &models, &scenario.secrets).is_ok());
 }

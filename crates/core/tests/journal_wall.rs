@@ -132,7 +132,8 @@ fn control_a_full_journal_replays_every_cell() {
         jstats,
         JournalStats {
             records: 2,
-            torn_dropped: 0
+            torn_dropped: 0,
+            durable_len: text.len(),
         }
     );
     assert_eq!(stats.hits, reference.len(), "every record replays: {stats}");
@@ -145,7 +146,8 @@ fn a_torn_tail_is_dropped_silently_and_the_cell_reproves() {
     let (reference, _, text) = fixture();
     // A crash can die at any byte of the final append. Sample the
     // whole spectrum: mid-header, right after the header, mid-payload,
-    // one byte short of complete.
+    // one byte short of complete. Wherever it dies, the durable prefix
+    // — where open cuts the file — ends exactly before the torn record.
     let tail = text.rfind("jrec ").expect("second record's header");
     let header_end = text[tail..].find('\n').unwrap() + tail;
     for cut in [tail + 3, header_end, header_end + 1, text.len() - 1] {
@@ -155,7 +157,8 @@ fn a_torn_tail_is_dropped_silently_and_the_cell_reproves() {
             jstats,
             JournalStats {
                 records: 1,
-                torn_dropped: 1
+                torn_dropped: 1,
+                durable_len: tail,
             },
             "cut at byte {cut}"
         );
@@ -171,7 +174,8 @@ fn a_torn_tail_is_dropped_silently_and_the_cell_reproves() {
         jstats,
         JournalStats {
             records: 0,
-            torn_dropped: 1
+            torn_dropped: 1,
+            durable_len: 0,
         }
     );
     assert_eq!(stats.reproved(), 2, "cold resume: {stats}");
@@ -189,7 +193,8 @@ fn garbage_appended_at_the_tail_is_torn_not_trusted() {
             jstats,
             JournalStats {
                 records: 2,
-                torn_dropped: 1
+                torn_dropped: 1,
+                durable_len: text.len(),
             },
             "junk {junk:?}"
         );
@@ -290,7 +295,7 @@ fn a_line_that_is_not_a_frame_header_is_corruption_wherever_it_sits() {
     }
     // A file with no record at all counts as a crashed first append
     // only when it starts like one; anything else is not a proof log,
-    // so a caller that compacts on open never empties it.
+    // so an open that cuts a torn tail never empties it.
     for foreign in ["this is not a cache @@@\n", "xyzzy", "cell i=0"] {
         assert!(
             parse_journal(foreign).is_err(),

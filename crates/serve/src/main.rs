@@ -9,9 +9,10 @@
 //! client sends `SHUTDOWN`. `--cache PATH` opens the proof store (the
 //! framed log `matrix --cache` keeps) at startup, through the same
 //! `tp_bench::open_store` as the sweep binaries (`EXIT_MALFORMED` for a
-//! file the log parser refuses, 2 for an unreadable one), and appends
-//! each cell a cached job proves to it as one fsynced frame, so a
-//! killed daemon loses at most the cell in flight.
+//! file the log parser refuses, 2 for one it cannot read or append
+//! to); the opened cache owns the log and appends each cell a cached
+//! job proves to it as one fsynced frame, so a killed daemon loses at
+//! most the cell in flight.
 
 use std::path::PathBuf;
 
@@ -50,7 +51,7 @@ fn main() {
         Some(path) => tp_bench::open_store("tp-serve", path).0,
     };
 
-    let server = match Server::bind(&addr, cache, cache_path, None) {
+    let server = match Server::bind(&addr, cache, None, None) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("tp-serve: cannot start on {addr}: {e}");

@@ -51,15 +51,16 @@
 //! reuse the finished job's arena, which keeps the daemon's peak RSS
 //! down.
 //!
-//! The proof cache and its `--cache` log writer share one [`Mutex`]: a
-//! cached job holds it for the duration of its sweep and appends under
-//! it, so concurrent cached jobs serialise and their frames never
-//! interleave (the pool underneath is already saturated by one sweep;
-//! interleaving two would only shuffle latency around). `nocache` jobs
-//! skip the lock and run concurrently. `STATUS`, `CANCEL` and `METRICS`
-//! never wait on a sweep — they touch only the job registry, telemetry
-//! and the entry count a cached job publishes as it releases the lock
-//! (which is also what a `nocache` job's `DONE` reports).
+//! The proof cache, which owns its `--cache` log, sits behind one
+//! [`Mutex`]: a cached job holds it for the duration of its sweep and
+//! appends under it, so concurrent cached jobs serialise and their
+//! frames never interleave (the pool underneath is already saturated
+//! by one sweep; interleaving two would only shuffle latency around).
+//! `nocache` jobs skip the lock and run concurrently. `STATUS`,
+//! `CANCEL` and `METRICS` never wait on a sweep — they touch only the
+//! job registry, telemetry and the entry count a cached job publishes
+//! as it releases the lock (which is also what a `nocache` job's `DONE`
+//! reports).
 //!
 //! # Cancellation and deadlines
 //!
@@ -77,17 +78,15 @@
 //! # Crash safety
 //!
 //! With `--cache`, the daemon keeps its proof store the way
-//! `matrix --cache` does: the file is the framed append-only log of
-//! [`tp_core::journal`], compacted by `tp_bench::open_store` before
-//! [`Server::bind`] opens it for appending. A cached job appends each
-//! freshly proved cell as one fsynced frame the moment it completes (a
-//! re-proved replacement for a rejected entry is one more frame, and
-//! the last frame for a key wins on reload), so a daemon killed mid-job
-//! loses at most the cell in flight and the next start drops its torn
-//! frame. The file is never rewritten while the daemon runs. After the
-//! first failed append the daemon appends nothing more for the rest of
-//! its life — a later successful append would put a damaged frame
-//! before the log's tail, and the next start would refuse the file —
+//! `matrix --cache` does: `tp_bench::open_store` opens the framed log
+//! of [`tp_core::journal`] into a [`ProofCache`] that owns it. The log
+//! is only ever appended to; open cuts a torn tail. A cached job
+//! appends each freshly proved cell as one fsynced frame the moment it
+//! completes (a re-proved replacement for a rejected entry is one more
+//! frame, and the last frame for a key wins on reload), so a daemon
+//! killed mid-job loses at most the cell in flight. After the first
+//! failed append the cache appends nothing more
+//! ([`ProofCache::take_log_error`]); the daemon prints the error once
 //! and keeps serving from memory. `SHUTDOWN` refuses new jobs, drains
 //! the in-flight ones, and only then answers and exits; every proved
 //! cell is already on disk.
@@ -102,7 +101,7 @@ use std::time::{Duration, Instant};
 use tp_core::engine::MatrixCell;
 use tp_core::faultpoint::{self, Fault};
 use tp_core::noninterference::NiScenario;
-use tp_core::{wire, CacheStats, JournalWriter, ProofCache, ProofReport};
+use tp_core::{wire, CacheStats, ProofCache, ProofReport};
 use tp_kernel::program::{Instr, Program, StepFeedback};
 
 use crate::protocol::{parse_request, Request, SubmitSpec};
@@ -170,17 +169,9 @@ struct JobEntry {
     state: Arc<JobState>,
 }
 
-/// The proof cache and the log it is appended to.
-struct Store {
-    cache: ProofCache,
-    /// The `--cache` log: `None` without one, and for good after the
-    /// first failed append.
-    log: Option<JournalWriter>,
-}
-
 /// State shared by every connection handler.
 struct Shared {
-    store: Mutex<Store>,
+    store: Mutex<ProofCache>,
     /// `cache.len()` as of the last time a job released the store
     /// lock: what `METRICS` and `nocache` jobs report without waiting
     /// on a cached sweep.
@@ -271,11 +262,12 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) fronting
-    /// `cache`. When `cache_path` is set, `cache` must be what that
-    /// file holds (`tp_bench::open_store` loads and compacts it): the
-    /// file is opened for appending, and every cached job appends each
-    /// freshly proved cell to it as one fsynced frame, so warm state
-    /// survives daemon restarts and crashes.
+    /// `cache`. Every cached job appends each freshly proved cell to the
+    /// cache's log as one fsynced frame, so warm state survives daemon
+    /// restarts and crashes. A cache from `tp_bench::open_store` already
+    /// owns its log; `cache_path` attaches the log at that path to a
+    /// cache loaded in memory ([`ProofCache::attach_log`]), and that file
+    /// must hold exactly what `cache` holds, with no torn tail.
     ///
     /// `journal_dir` is kept only so the benchmark's existing
     /// four-argument caller compiles, and must be `None`: `Some` is
@@ -283,7 +275,7 @@ impl Server {
     /// `--cache` log is the crash-safe store.
     pub fn bind(
         addr: &str,
-        cache: ProofCache,
+        mut cache: ProofCache,
         cache_path: Option<PathBuf>,
         journal_dir: Option<PathBuf>,
     ) -> io::Result<Server> {
@@ -293,10 +285,9 @@ impl Server {
                 "no journal directory: the --cache log is the crash-safe store",
             ));
         }
-        let log = cache_path
-            .as_deref()
-            .map(JournalWriter::open_append)
-            .transpose()?;
+        if let Some(path) = cache_path {
+            cache.attach_log(&path)?;
+        }
         let listener = TcpListener::bind(addr)?;
         let mut wake_addr = listener.local_addr()?;
         if wake_addr.ip().is_unspecified() {
@@ -309,7 +300,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 cache_entries: AtomicUsize::new(cache.len()),
-                store: Mutex::new(Store { cache, log }),
+                store: Mutex::new(cache),
                 jobs: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(1),
                 active_jobs: AtomicUsize::new(0),
@@ -785,32 +776,23 @@ fn run_job(
     // A cached job holds the store for its whole sweep and appends every
     // freshly proved cell to the log; a `nocache` job touches neither.
     let mut store = (!nocache).then(|| lock(&shared.store));
-    let mut no_log = None;
-    let (cache, log) = match store.as_deref_mut() {
-        Some(Store { cache, log }) => (Some(cache), log),
-        None => (None, &mut no_log),
-    };
-    let mut append =
-        |i: usize, cell: &MatrixCell, report: &ProofReport, meta: &wire::CachedMeta| {
-            if let Some(Err(e)) = log.as_mut().map(|w| w.append(i, cell, report, meta)) {
-                eprintln!(
-                    "tp-serve: cache append failed: {e} (appending no more; serving from memory)"
-                );
-                *log = None;
-            }
-        };
     let (outcomes, stats) = matrix.run_subset(
         tp_sched::global(),
         indices,
-        cache,
+        store.as_deref_mut(),
         &make_scenario,
         emit,
-        Some(&mut append),
+        None,
     );
     let entries = match store {
         None => shared.cache_entries.load(Ordering::SeqCst),
-        Some(store) => {
-            let n = store.cache.len();
+        Some(mut cache) => {
+            if let Some(e) = cache.take_log_error() {
+                eprintln!(
+                    "tp-serve: cache append failed: {e} (appending no more; serving from memory)"
+                );
+            }
+            let n = cache.len();
             shared.cache_entries.store(n, Ordering::SeqCst);
             n
         }

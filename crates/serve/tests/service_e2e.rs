@@ -185,7 +185,7 @@ fn wait_for_job(client: &mut Client, job: u64, pred: impl Fn(&str) -> bool) -> S
 /// in-process through the same helpers that binary uses.
 fn reference_records(models: Option<usize>, indices: &[usize]) -> String {
     let matrix = tp_bench::shaped_matrix(models);
-    let (proved, _, _) = tp_bench::run_matrix_cells(&matrix, indices, None, None, |_, _, _| {});
+    let (proved, _) = tp_bench::run_matrix_cells(&matrix, indices, None, |_, _, _| {});
     let mut out = String::new();
     for (i, cell, report) in &proved {
         tp_core::wire::write_cell(&mut out, *i, cell, report);
@@ -581,9 +581,10 @@ fn a_vanished_client_cancels_its_stream_but_the_sweep_still_warms_the_cache() {
 }
 
 /// A daemon killed partway through an append leaves one torn frame at
-/// the tail of its log and nothing else: the restart drops that frame,
+/// the tail of its log and nothing else: the restart cuts that frame,
 /// keeps the three cells appended before it, and re-proves only the
-/// rest, streaming the same bytes as `matrix --worker`.
+/// rest, streaming the same bytes as `matrix --worker` and appending
+/// the re-proved cells after the cut.
 #[test]
 fn a_daemon_killed_mid_append_restarts_from_its_torn_log() {
     let cache_path = scratch_path("torn.cache");
@@ -626,7 +627,14 @@ fn a_daemon_killed_mid_append_restarts_from_its_torn_log() {
     assert_eq!(client.round_trip("SHUTDOWN"), vec!["OK shutting-down"]);
 
     let (status, stderr) = exit_and_stderr(&mut daemon);
+    let text = std::fs::read_to_string(&cache_path).expect("cache reads");
     std::fs::remove_file(&cache_path).ok();
+    let (_, stats) = tp_core::journal::parse_journal(&text).expect("the log parses");
+    assert_eq!(
+        (stats.records, stats.torn_dropped),
+        (7, 0),
+        "the torn frame was cut and the re-proved cells appended"
+    );
     assert!(
         status.success(),
         "clean shutdown exit: {status:?}\n{stderr}"
