@@ -117,7 +117,7 @@ fn main() {
     });
 
     use tp_core::exhaustive::ExhaustiveConfig;
-    bench("e14_exhaustive/length_2_sequential", 5, || {
+    bench("e14_exhaustive/length_2_sequential_recording", 5, || {
         tp_core::check_exhaustive(&ExhaustiveConfig {
             max_len: 2,
             ..ExhaustiveConfig::small(TimeProtConfig::full())

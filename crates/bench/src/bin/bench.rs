@@ -4,9 +4,8 @@
 //! Two workloads, timed with plain [`std::time::Instant`] best-of-N:
 //!
 //! * the **E11 ablation sweep** (the canonical machine × every
-//!   single-mechanism ablation) proved in digest-first certified mode —
-//!   and once more in forced-recording mode, so the file records the
-//!   digest-first dividend alongside the absolute numbers;
+//!   single-mechanism ablation) proved in the default digest-first
+//!   certified mode;
 //! * one **exhaustive enumeration** (every Hi program up to the length
 //!   bound on the tiny machine), the workload the trace-free
 //!   `ExhaustiveRunner` template exists for.
@@ -37,7 +36,7 @@ use tp_bench::trajectory::{
     self, best_comparable, check_trend, RunRecord, Trajectory, TrendVerdict,
 };
 use tp_bench::{canonical_machine, canonical_scenario, host_info, time_iters};
-use tp_core::engine::{check_exhaustive_parallel_on, ProofMode, ScenarioMatrix};
+use tp_core::engine::{check_exhaustive_parallel_on, ScenarioMatrix};
 use tp_core::exhaustive::{space_size, ExhaustiveConfig};
 use tp_core::{default_time_models, MatrixReport};
 use tp_kernel::config::TimeProtConfig;
@@ -94,11 +93,10 @@ fn parse_args() -> Result<Args, String> {
 
 /// The benched E11 sweep: canonical machine, all ablations, the first
 /// `models` default time models.
-fn run_e11(models: usize, mode: ProofMode) -> MatrixReport {
+fn run_e11(models: usize) -> MatrixReport {
     ScenarioMatrix::new("canonical", canonical_machine())
         .sweep_ablations()
         .with_models(default_time_models()[..models].to_vec())
-        .with_mode(mode)
         .run(|cell| canonical_scenario(cell.disable))
 }
 
@@ -122,18 +120,14 @@ fn main() {
     let (iters, models, exh_len) = if args.smoke { (1, 1, 2) } else { (3, 2, 3) };
 
     // --- E11 sweep, digest-first certified (the default hot path). ---
-    let report = run_e11(models, ProofMode::Certified);
+    let report = run_e11(models);
     let cells = report.cells.len();
     let monitored_steps: usize = report.cells.iter().map(|(_, r)| r.steps).sum();
-    let (_, t_digest) = time_iters(iters, || run_e11(models, ProofMode::Certified));
+    let (_, t_digest) = time_iters(iters, || run_e11(models));
     eprintln!(
         "e11 sweep (digest-first): {cells} cells x {models} models in {t_digest:?} \
          ({monitored_steps} monitored steps, {threads} threads)"
     );
-
-    // --- The same sweep, forced recording (the comparison baseline). ---
-    let (_, t_recording) = time_iters(iters, || run_e11(models, ProofMode::CertifiedRecording));
-    eprintln!("e11 sweep (recording):    {cells} cells x {models} models in {t_recording:?}");
 
     // --- Exhaustive enumeration, digest-first. ---
     let exh_cfg = ExhaustiveConfig {
@@ -150,7 +144,6 @@ fn main() {
     let cells_per_sec = cells as f64 / secs(t_digest);
     let ns_per_step = secs(t_digest) * 1e9 / monitored_steps.max(1) as f64;
     let programs_per_sec = programs as f64 / secs(t_exh);
-    let digest_over_recording = secs(t_digest) / secs(t_recording);
 
     let (cpus, git_rev, unix_time) = host_info();
     let mut json = String::new();
@@ -169,13 +162,7 @@ fn main() {
     writeln!(json, "    \"monitored_steps\": {monitored_steps},").unwrap();
     writeln!(json, "    \"seconds\": {:.6},", secs(t_digest)).unwrap();
     writeln!(json, "    \"cells_per_sec\": {cells_per_sec:.3},").unwrap();
-    writeln!(json, "    \"ns_per_step\": {ns_per_step:.3},").unwrap();
-    writeln!(json, "    \"recording_seconds\": {:.6},", secs(t_recording)).unwrap();
-    writeln!(
-        json,
-        "    \"digest_over_recording\": {digest_over_recording:.4}"
-    )
-    .unwrap();
+    writeln!(json, "    \"ns_per_step\": {ns_per_step:.3}").unwrap();
     writeln!(json, "  }},").unwrap();
     writeln!(json, "  \"exhaustive\": {{").unwrap();
     writeln!(json, "    \"max_len\": {exh_len},").unwrap();

@@ -147,11 +147,12 @@ pub fn cell_key(
         h = mix_digest(h, s);
         h = mix_digest(h, (scenario.make_kcfg)(s).content_fingerprint()?);
     }
+    // Tag 1 named a retired forced-recording mode; the tags are kept
+    // as they were so existing cache files keep hitting.
     h = mix_digest(
         h,
         match mode {
             ProofMode::Certified => 0,
-            ProofMode::CertifiedRecording => 1,
             ProofMode::ReplayCheck => 2,
         },
     );

@@ -37,25 +37,29 @@
 //! [`ScenarioMatrix::run_subset_cached`] and
 //! [`ScenarioMatrix::run_subset_journaled`] are short unwraps over it
 //! that panic at the first failed cell, after every earlier cell has
-//! streamed. The sequential [`crate::proof::prove`] and
-//! [`crate::exhaustive::check_exhaustive`] are the single oracle every
-//! driver is pinned against; each driver runs on the process-wide
-//! [`tp_sched::global`] pool or, in its `_on` variant, an explicit
-//! [`WorkerPool`].
+//! streamed.
+//!
+//! Every driver has one production path and one recording oracle. The
+//! pooled proof drivers run [`ProofMode::Certified`] and are pinned
+//! against the sequential [`crate::proof::prove`] (and, at the matrix
+//! level, against [`ProofMode::ReplayCheck`], which compares recorded
+//! replay traces); the digest-first exhaustive scan is pinned against
+//! the recording [`crate::exhaustive::check_exhaustive`]. Each driver
+//! runs on the process-wide [`tp_sched::global`] pool or, in its `_on`
+//! variant, an explicit [`WorkerPool`].
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::cache::{CacheMiss, CacheStats, ProofCache};
 use crate::exhaustive::{
-    recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveMode,
-    ExhaustiveRunner, ExhaustiveVerdict,
+    recorded_leak, space_size, word_for_index_into, ExhaustiveConfig, ExhaustiveRunner,
+    ExhaustiveVerdict,
 };
 use crate::noninterference::{
-    compare_secret_digests, compare_secret_runs, first_divergence, lo_digest_len, lo_trace,
-    lockstep_divergence, run_monitored, MonitoredRun, NiScenario, NiVerdict, TransparencyCert,
+    compare_secret_digests, compare_secret_runs, lo_digest_len, lo_trace, lockstep_divergence,
+    run_monitored, MonitoredRun, NiScenario, NiVerdict, TransparencyCert,
 };
 use crate::obligation::ObligationResult;
 use crate::proof::{ModelVerdict, ProofReport};
@@ -92,12 +96,6 @@ pub enum ProofMode {
     /// extract the replayable witness.
     #[default]
     Certified,
-    /// Certified single-run mode with every monitored run fully
-    /// recorded and Lo traces compared event by event — the
-    /// pre-digest-first engine behaviour, kept as the equivalence
-    /// oracle and the perf-pin baseline. Reports are bit-identical to
-    /// [`ProofMode::Certified`].
-    CertifiedRecording,
     /// The paranoid audit mode (`--replay-check`): every (model,
     /// secret) pair runs twice — monitored for P/F/T, plain for the NI
     /// baseline — exactly like the sequential [`crate::proof::prove`].
@@ -211,10 +209,9 @@ struct ProofShard {
     steps: usize,
     /// Number of events in Lo's observation log.
     lo_len: usize,
-    /// The NI baseline trace: the certified monitored trace
-    /// ([`ProofMode::CertifiedRecording`]) or the plain replay trace
-    /// ([`ProofMode::ReplayCheck`]). `None` on the digest-first hot
-    /// path, where `(lo_len, monitored_digest)` is the baseline.
+    /// The NI baseline trace: the plain replay trace in
+    /// [`ProofMode::ReplayCheck`]. `None` on the digest-first hot path,
+    /// where `(lo_len, monitored_digest)` is the baseline.
     trace: Option<Vec<ObsEvent>>,
     /// Rolling digest of the monitored run's Lo trace, straight from
     /// the observation sink.
@@ -244,7 +241,7 @@ struct ProofBatch {
 
 /// Flatten `scenario` × `models` into owned engine tasks, in the
 /// (model, secret) lexicographic order the merge consumes them in. In
-/// certified modes the certification replay leads the list so it
+/// certified mode the certification replay leads the list so it
 /// overlaps the monitored runs on the pool. Kernel configurations are
 /// built once per secret and `Arc`-shared across models; machines once
 /// per model, shared across secrets. `cell` is the matrix cell index
@@ -284,11 +281,11 @@ fn proof_tasks(
     ProofBatch { tasks, runs }
 }
 
-/// Execute one engine task. A [`EngineTask::Run`] in a certified mode
-/// is the single monitored run whose Lo fingerprint (digest-first) or
-/// trace (recording) doubles as the NI baseline; in replay-check mode
-/// it is exactly the two runs the sequential driver performs — one
-/// monitored (P/F/T evidence) and one plain replay (the NI trace).
+/// Execute one engine task. A [`EngineTask::Run`] in certified mode is
+/// the single trace-free monitored run whose Lo fingerprint doubles as
+/// the NI baseline; in replay-check mode it is exactly the two runs the
+/// sequential driver performs — one monitored (P/F/T evidence) and one
+/// plain replay (the NI trace).
 fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
     // Chaos hook: `TP_FAULTS=…:task=panic@n` (containment) and
     // `task=delay:ms@n` (worker stall) land here, on the worker thread,
@@ -314,7 +311,6 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
             }
             let (trace, replay_digest) = match mode {
                 ProofMode::Certified => (None, None),
-                ProofMode::CertifiedRecording => (run.lo_trace, None),
                 ProofMode::ReplayCheck => {
                     let span = tp_telemetry::span_start();
                     let replay = lo_trace(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps);
@@ -385,7 +381,7 @@ fn merge_proof_stream(
     it: &mut impl Iterator<Item = TaskOutput>,
 ) -> (ProofReport, Fingerprints) {
     let cert_replay = match mode {
-        ProofMode::Certified | ProofMode::CertifiedRecording => match it.next() {
+        ProofMode::Certified => match it.next() {
             Some(TaskOutput::Cert(d)) => Some(d),
             _ => panic!("certification replay must lead a certified proof stream"),
         },
@@ -535,88 +531,22 @@ pub fn prove_parallel_mode(
 /// keep scheduling traffic negligible next to a full system run.
 const EXH_BLOCK: usize = 8;
 
-thread_local! {
-    /// Per-worker scratch trace for recording-mode scans: one buffer
-    /// per thread for the whole sweep instead of an allocation per
-    /// enumerated word.
-    static EXH_SCRATCH: RefCell<Vec<ObsEvent>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A leak found by one exhaustive shard.
-struct ExhCandidate {
-    index: usize,
-    witness: Vec<Instr>,
-    divergence: usize,
-    baseline_event: Option<ObsEvent>,
-    witness_event: Option<ObsEvent>,
-}
-
-impl ExhCandidate {
-    /// Rebuild the candidate's full evidence from a digest-first hit:
-    /// recording re-runs of the baseline and the witness.
-    fn from_digest_hit(runner: &ExhaustiveRunner, index: usize, word: Vec<Instr>) -> Self {
-        let ExhaustiveVerdict::Leak {
-            program_index,
-            witness,
-            divergence,
-            baseline_event,
-            witness_event,
-        } = recorded_leak(runner, index, word)
-        else {
-            unreachable!("recorded_leak always returns a leak");
-        };
-        ExhCandidate {
-            index: program_index,
-            witness,
-            divergence,
-            baseline_event,
-            witness_event,
-        }
-    }
-}
-
-/// The shared baseline an exhaustive scan compares against: always the
-/// `(len, digest)` fingerprint, plus the recorded trace in recording
-/// mode.
-struct ExhBaseline {
-    fingerprint: (usize, u64),
-    trace: Option<Vec<ObsEvent>>,
-}
-
-impl ExhBaseline {
-    fn new(runner: &ExhaustiveRunner, mode: ExhaustiveMode) -> Self {
-        match mode {
-            ExhaustiveMode::DigestFirst => ExhBaseline {
-                fingerprint: runner.run_digest(&[]),
-                trace: None,
-            },
-            ExhaustiveMode::Recording => {
-                let trace = runner.run(&[]);
-                ExhBaseline {
-                    fingerprint: (trace.len(), crate::noninterference::obs_digest(&trace)),
-                    trace: Some(trace),
-                }
-            }
-        }
-    }
-}
-
-/// Scan one contiguous index block for leaks against `baseline`,
-/// pruning past any already-known lower-index leak in `best`.
-/// Digest-first scans compare fingerprints and only materialise traces
-/// for a hit; recording scans replay every word into the per-worker
-/// scratch buffer.
+/// Scan one contiguous index block digest-first against the baseline
+/// fingerprint, pruning past any already-known lower-index leak in
+/// `best`. Only a hit materialises traces: the witness is extracted by
+/// a recording lockstep re-run of the baseline and the hit word.
+/// Returns the block's lowest-index leak, keyed by its index.
 fn scan_exhaustive_block(
     runner: &ExhaustiveRunner,
     alphabet: &[Instr],
     max_len: usize,
-    baseline: &ExhBaseline,
+    baseline: (usize, u64),
     best: &AtomicUsize,
     start: usize,
     end: usize,
-) -> Option<ExhCandidate> {
-    // One word buffer for the whole block: the scan only materialises an
-    // owned copy on the rare leak-candidate path.
+) -> Option<(usize, ExhaustiveVerdict)> {
+    // One word buffer for the whole block: the scan only hands an owned
+    // copy to the rare leak-extraction path.
     let mut word = Vec::new();
     let mut found = None;
     let mut scanned = 0u64;
@@ -629,24 +559,9 @@ fn scan_exhaustive_block(
             word_for_index_into(alphabet, max_len, index, &mut word),
             "index is within the enumerated space"
         );
-        let candidate = match &baseline.trace {
-            None => (runner.run_digest(&word) != baseline.fingerprint)
-                .then(|| ExhCandidate::from_digest_hit(runner, index, word.clone())),
-            Some(base) => EXH_SCRATCH.with(|scratch| {
-                let buf = &mut *scratch.borrow_mut();
-                runner.run_recorded_into(&word, buf);
-                first_divergence(base, buf).map(|div| ExhCandidate {
-                    index,
-                    witness: word.clone(),
-                    divergence: div,
-                    baseline_event: base.get(div).copied(),
-                    witness_event: buf.get(div).copied(),
-                })
-            }),
-        };
-        if let Some(c) = candidate {
+        if runner.run_digest(&word) != baseline {
             best.fetch_min(index, Ordering::Relaxed);
-            found = Some(c);
+            found = Some((index, recorded_leak(runner, index, word)));
             break;
         }
     }
@@ -654,26 +569,6 @@ fn scan_exhaustive_block(
     // inner loop.
     tp_telemetry::count_n(Counter::ExhPrograms, scanned);
     found
-}
-
-/// Pick the sequential verdict out of the shards' findings: the
-/// lowest-index leak, or a pass over the whole space.
-fn merge_exhaustive_candidates(
-    found: impl IntoIterator<Item = ExhCandidate>,
-    total: usize,
-) -> ExhaustiveVerdict {
-    match found.into_iter().min_by_key(|c| c.index) {
-        Some(c) => ExhaustiveVerdict::Leak {
-            program_index: c.index,
-            witness: c.witness,
-            divergence: c.divergence,
-            baseline_event: c.baseline_event,
-            witness_event: c.witness_event,
-        },
-        None => ExhaustiveVerdict::Pass {
-            programs: total + 1,
-        },
-    }
 }
 
 /// [`crate::exhaustive::check_exhaustive`], sharded by index blocks on
@@ -695,19 +590,8 @@ pub fn check_exhaustive_parallel_on(
     pool: &WorkerPool,
     cfg: &ExhaustiveConfig,
 ) -> ExhaustiveVerdict {
-    check_exhaustive_parallel_mode(pool, cfg, ExhaustiveMode::DigestFirst)
-}
-
-/// [`check_exhaustive_parallel_on`] with an explicit
-/// [`ExhaustiveMode`] — [`ExhaustiveMode::Recording`] is the fully
-/// materialised equivalence oracle.
-pub fn check_exhaustive_parallel_mode(
-    pool: &WorkerPool,
-    cfg: &ExhaustiveConfig,
-    mode: ExhaustiveMode,
-) -> ExhaustiveVerdict {
     let runner = Arc::new(ExhaustiveRunner::new(cfg));
-    let baseline = Arc::new(ExhBaseline::new(&runner, mode));
+    let baseline = runner.run_digest(&[]);
     let total = space_size(cfg.alphabet.len(), cfg.max_len);
     let alphabet = Arc::new(cfg.alphabet.clone());
     let max_len = cfg.max_len;
@@ -716,9 +600,14 @@ pub fn check_exhaustive_parallel_mode(
     let blocks: Vec<usize> = (1..=total).step_by(EXH_BLOCK).collect();
     let found = pool.map(blocks, move |_, start| {
         let end = (start + EXH_BLOCK - 1).min(total);
-        scan_exhaustive_block(&runner, &alphabet, max_len, &baseline, &best, start, end)
+        scan_exhaustive_block(&runner, &alphabet, max_len, baseline, &best, start, end)
     });
-    merge_exhaustive_candidates(found.into_iter().flatten(), total)
+    match found.into_iter().flatten().min_by_key(|(index, _)| *index) {
+        Some((_, leak)) => leak,
+        None => ExhaustiveVerdict::Pass {
+            programs: total + 1,
+        },
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -774,8 +663,8 @@ impl ScenarioMatrix {
     }
 
     /// Prove every cell under an explicit [`ProofMode`] —
-    /// [`ProofMode::CertifiedRecording`] is how the equivalence and
-    /// perf harnesses force the pre-digest-first behaviour.
+    /// [`ProofMode::ReplayCheck`] is the `--replay-check` audit sweep
+    /// the equivalence suites pin [`ProofMode::Certified`] against.
     pub fn with_mode(mut self, mode: ProofMode) -> Self {
         self.mode = mode;
         self

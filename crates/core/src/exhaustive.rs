@@ -15,6 +15,14 @@
 //! any mechanism disabled, the enumeration finds a distinguishing Hi
 //! program automatically (often a shorter/simpler one than a human
 //! would write), doubling as a channel-discovery tool.
+//!
+//! There are two drivers over one enumeration order
+//! ([`word_for_index`]). [`check_exhaustive`] is the sequential
+//! recording oracle: it records Lo's log for every program and compares
+//! it event by event. [`crate::engine::check_exhaustive_parallel`] is
+//! the production scan: it shards the space over the worker pool,
+//! compares trace-free `(len, digest)` fingerprints and records only
+//! to extract a witness. Both return the same verdict, bit for bit.
 
 use tp_hw::machine::MachineConfig;
 use tp_hw::obs::RecordingSink;
@@ -199,8 +207,8 @@ impl ExhaustiveRunner {
     }
 
     /// Run one Hi program with Lo recording into `buf` (cleared first,
-    /// allocation reused) — the per-worker scratch-buffer path of the
-    /// recording mode and of divergence witness extraction.
+    /// allocation reused) — the scratch-buffer path of the recording
+    /// oracle [`check_exhaustive`].
     pub fn run_recorded_into(&self, hi: &[Instr], buf: &mut Vec<ObsEvent>) {
         let mut sys = self.stamp(hi);
         sys.set_obs_sink(DomainId(1), RecordingSink::with_buffer(std::mem::take(buf)));
@@ -226,14 +234,6 @@ impl ExhaustiveRunner {
         sys.set_obs_sink(DomainId(1), RecordingSink::default());
         sys
     }
-}
-
-/// Run one Hi program (plus the fixed Lo observer) under `cfg` and
-/// return Lo's observation log. One-shot convenience over
-/// [`ExhaustiveRunner`] — build a runner once when running many
-/// programs under the same configuration.
-pub fn run_with_hi(cfg: &ExhaustiveConfig, hi: &[Instr]) -> Vec<ObsEvent> {
-    ExhaustiveRunner::new(cfg).run(hi)
 }
 
 /// Number of non-empty Hi programs with length in `1..=max_len` over an
@@ -287,29 +287,11 @@ pub fn word_for_index_into(
     false
 }
 
-/// How an exhaustive check executes its runs. Both modes return
-/// bit-identical verdicts (the equivalence suite pins this); they
-/// differ only in what the hot loop materialises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExhaustiveMode {
-    /// The default: every run is trace-free (`(len, digest)`
-    /// fingerprints compared against the cached baseline fingerprint);
-    /// only a divergence triggers a recording re-run of the offending
-    /// word and the baseline to extract the witness events.
-    #[default]
-    DigestFirst,
-    /// Every run fully recorded and compared event by event — the
-    /// pre-digest-first semantics, kept as the equivalence oracle (with
-    /// one scratch buffer reused across words instead of a fresh
-    /// allocation per run).
-    Recording,
-}
-
 /// Materialise the leak verdict for `word` at `index` by re-running the
 /// baseline and the witness in lockstep (recording, stopped at the
-/// first diverging Lo event). Shared by both checkers and the parallel
-/// engine, so a leak found digest-first carries exactly the evidence a
-/// recorded comparison would have.
+/// first diverging Lo event). The digest-first engine scan's witness
+/// extractor: a leak found by fingerprint carries exactly the evidence
+/// the recording oracle's event-by-event comparison reports.
 pub(crate) fn recorded_leak(
     runner: &ExhaustiveRunner,
     index: usize,
@@ -332,50 +314,30 @@ pub(crate) fn recorded_leak(
     }
 }
 
-/// Enumerate every Hi program up to `cfg.max_len` and compare Lo's
-/// observations against the empty-program baseline — digest-first
-/// ([`ExhaustiveMode::DigestFirst`]).
+/// Enumerate every Hi program up to `cfg.max_len`, record Lo's
+/// observations under each and compare them event by event against the
+/// empty-program baseline — the sequential recording oracle the
+/// digest-first [`crate::engine::check_exhaustive_parallel`] is pinned
+/// against. Stops at the first (lowest-index) leak.
 pub fn check_exhaustive(cfg: &ExhaustiveConfig) -> ExhaustiveVerdict {
-    check_exhaustive_mode(cfg, ExhaustiveMode::DigestFirst)
-}
-
-/// [`check_exhaustive`] with an explicit [`ExhaustiveMode`].
-pub fn check_exhaustive_mode(cfg: &ExhaustiveConfig, mode: ExhaustiveMode) -> ExhaustiveVerdict {
     let runner = ExhaustiveRunner::new(cfg);
     let total = space_size(cfg.alphabet.len(), cfg.max_len);
-    let mut word = Vec::new();
-    match mode {
-        ExhaustiveMode::DigestFirst => {
-            let baseline = runner.run_digest(&[]);
-            for index in 1..=total {
-                assert!(
-                    word_for_index_into(&cfg.alphabet, cfg.max_len, index, &mut word),
-                    "index is within the enumerated space"
-                );
-                if runner.run_digest(&word) != baseline {
-                    return recorded_leak(&runner, index, word);
-                }
-            }
-        }
-        ExhaustiveMode::Recording => {
-            let baseline = runner.run(&[]);
-            let mut buf = Vec::new();
-            for index in 1..=total {
-                assert!(
-                    word_for_index_into(&cfg.alphabet, cfg.max_len, index, &mut word),
-                    "index is within the enumerated space"
-                );
-                runner.run_recorded_into(&word, &mut buf);
-                if let Some(div) = crate::noninterference::first_divergence(&baseline, &buf) {
-                    return ExhaustiveVerdict::Leak {
-                        program_index: index,
-                        witness: word,
-                        divergence: div,
-                        baseline_event: baseline.get(div).copied(),
-                        witness_event: buf.get(div).copied(),
-                    };
-                }
-            }
+    let baseline = runner.run(&[]);
+    let (mut word, mut buf) = (Vec::new(), Vec::new());
+    for index in 1..=total {
+        assert!(
+            word_for_index_into(&cfg.alphabet, cfg.max_len, index, &mut word),
+            "index is within the enumerated space"
+        );
+        runner.run_recorded_into(&word, &mut buf);
+        if let Some(div) = crate::noninterference::first_divergence(&baseline, &buf) {
+            return ExhaustiveVerdict::Leak {
+                program_index: index,
+                witness: word,
+                divergence: div,
+                baseline_event: baseline.get(div).copied(),
+                witness_event: buf.get(div).copied(),
+            };
         }
     }
     ExhaustiveVerdict::Pass {
@@ -429,10 +391,11 @@ mod tests {
         );
     }
 
-    /// The digest-first hot path and the fully recorded oracle return
+    /// The digest-first engine scan and the recording oracle return
     /// bit-identical verdicts — Pass counts and Leak witnesses alike.
     #[test]
     fn digest_first_and_recording_modes_agree() {
+        let pool = tp_sched::WorkerPool::new(2);
         for tp in [
             TimeProtConfig::full(),
             TimeProtConfig::off(),
@@ -440,8 +403,8 @@ mod tests {
         ] {
             let cfg = quick(tp, 2);
             assert_eq!(
-                check_exhaustive_mode(&cfg, ExhaustiveMode::DigestFirst),
-                check_exhaustive_mode(&cfg, ExhaustiveMode::Recording),
+                crate::engine::check_exhaustive_parallel_on(&pool, &cfg),
+                check_exhaustive(&cfg),
                 "{tp:?}"
             );
         }

@@ -1,9 +1,12 @@
 //! The digest-first equivalence suite: the trace-free hot path must be
-//! *observationally indistinguishable* from forced-recording execution
-//! — same verdicts, same witnesses, same [`ProofReport`]s, bit for bit
-//! — over randomised configurations and secrets. This is the licence
+//! *observationally indistinguishable* from the recording oracles —
+//! same verdicts, same witnesses, same [`ProofReport`]s, bit for bit —
+//! over randomised configurations and secrets. This is the licence
 //! for comparing `(len, digest)` fingerprints in the hot loop and only
-//! materialising traces on divergence.
+//! materialising traces on divergence. The oracles: the sequential
+//! `check_ni_parts_recording`, `prove` and `check_exhaustive`, and at
+//! the matrix level the [`ProofMode::ReplayCheck`] sweep, which
+//! compares recorded replay traces.
 //!
 //! The broken-mechanism cases additionally prove the divergence
 //! *re-run* reproduces the exact witness trace: the leak evidence a
@@ -12,15 +15,13 @@
 
 use proptest::prelude::*;
 
-use tp_core::engine::{
-    check_exhaustive_parallel_mode, prove_parallel_mode, ProofMode, ScenarioMatrix,
-};
-use tp_core::exhaustive::{check_exhaustive_mode, ExhaustiveConfig, ExhaustiveMode};
+use tp_core::engine::{check_exhaustive_parallel_on, prove_parallel_on, ProofMode, ScenarioMatrix};
+use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
 use tp_core::noninterference::{
     check_ni_parts, check_ni_parts_recording, check_noninterference, first_divergence, lo_trace,
     NiScenario, NiVerdict,
 };
-use tp_core::proof::default_time_models;
+use tp_core::proof::{default_time_models, prove};
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
 use tp_kernel::config::{DomainSpec, KernelConfig, Mechanism, TimeProtConfig};
@@ -88,9 +89,10 @@ proptest! {
         prop_assert_eq!(digest_first, recorded, "seed {}", seed);
     }
 
-    /// Digest-first certified proofs equal forced-recording certified
-    /// proofs bit for bit — every report field, certificate included —
-    /// on random scenarios, with and without a broken mechanism.
+    /// Pooled digest-first certified proofs equal the sequential
+    /// recording `prove` bit for bit — every report field, certificate
+    /// included — on random scenarios, with and without a broken
+    /// mechanism.
     #[test]
     fn proof_reports_are_bit_identical(seed in 0u64..200, ablate in any::<bool>()) {
         let tp = if ablate {
@@ -100,12 +102,8 @@ proptest! {
         };
         let models = default_time_models()[..2].to_vec();
         let pool = WorkerPool::new(2);
-        let digest = prove_parallel_mode(
-            &pool, &seeded_scenario(seed, tp), &models, ProofMode::Certified,
-        );
-        let recording = prove_parallel_mode(
-            &pool, &seeded_scenario(seed, tp), &models, ProofMode::CertifiedRecording,
-        );
+        let digest = prove_parallel_on(&pool, &seeded_scenario(seed, tp), &models);
+        let recording = prove(&seeded_scenario(seed, tp), &models);
         prop_assert_eq!(&digest, &recording, "seed {}", seed);
         prop_assert_eq!(digest.to_string(), recording.to_string());
     }
@@ -156,10 +154,9 @@ fn divergence_rerun_reproduces_the_exact_witness_trace() {
     }
 }
 
-/// Exhaustive enumeration: digest-first and recording modes agree on
-/// the sequential checker and on the pool, across protection settings
-/// — including the exact lowest-index witness when a mechanism is
-/// ablated.
+/// Exhaustive enumeration: the pooled digest-first scan agrees with the
+/// sequential recording checker across protection settings — including
+/// the exact lowest-index witness when a mechanism is ablated.
 #[test]
 fn exhaustive_digest_and_recording_agree_on_every_path() {
     let pool = WorkerPool::new(2);
@@ -172,20 +169,17 @@ fn exhaustive_digest_and_recording_agree_on_every_path() {
             max_len: 2,
             ..ExhaustiveConfig::small(tp)
         };
-        let digest_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::DigestFirst);
-        let rec_seq = check_exhaustive_mode(&cfg, ExhaustiveMode::Recording);
-        assert_eq!(digest_seq, rec_seq, "{tp:?}: sequential modes disagree");
-        let digest_pool = check_exhaustive_parallel_mode(&pool, &cfg, ExhaustiveMode::DigestFirst);
-        let rec_pool = check_exhaustive_parallel_mode(&pool, &cfg, ExhaustiveMode::Recording);
-        assert_eq!(digest_pool, rec_pool, "{tp:?}: pooled modes disagree");
-        assert_eq!(digest_seq, digest_pool, "{tp:?}: sequential vs pooled");
+        let recorded = check_exhaustive(&cfg);
+        let digest = check_exhaustive_parallel_on(&pool, &cfg);
+        assert_eq!(digest, recorded, "{tp:?}: pooled digest-first vs recording");
     }
 }
 
 /// The matrix-level pin: an E11-shaped ablation sweep (most cells
-/// leaking) proved digest-first equals the same sweep proved with
-/// forced recording — the leak-heavy regime where every cell exercises
-/// the divergence re-run path.
+/// leaking) proved digest-first equals the same sweep under
+/// `--replay-check`, whose NI baseline is recorded replay traces
+/// compared event by event — the leak-heavy regime where every cell
+/// exercises the divergence re-run path.
 #[test]
 fn ablation_matrix_reports_are_bit_identical_across_modes() {
     let models = default_time_models()[..1].to_vec();
@@ -198,7 +192,7 @@ fn ablation_matrix_reports_are_bit_identical_across_modes() {
     let scenario = || seeded_scenario(3, TimeProtConfig::full());
     let pool = WorkerPool::new(2);
     let digest = matrix(ProofMode::Certified).run_on(&pool, |_| scenario());
-    let recording = matrix(ProofMode::CertifiedRecording).run_on(&pool, |_| scenario());
+    let recording = matrix(ProofMode::ReplayCheck).run_on(&pool, |_| scenario());
     assert_eq!(digest, recording);
     assert_eq!(digest.to_string(), recording.to_string());
     assert!(
@@ -210,7 +204,7 @@ fn ablation_matrix_reports_are_bit_identical_across_modes() {
     );
 
     // Wire records — what sharded sweeps ship between hosts — must be
-    // byte-identical too, so digest-first and recording workers can be
+    // byte-identical too, so certified and replay-check workers can be
     // mixed within one sharded sweep.
     let wire = |report: &tp_core::MatrixReport| {
         let mut out = String::new();

@@ -3,8 +3,8 @@
 //! worker threads must not change a single bit of the result, in any
 //! [`ProofMode`]. Each scenario is checked several ways:
 //!
-//! * sequential (`prove` / `check_exhaustive`) — the reference, and
-//!   since the transparency work also the paranoid *double-run*: one
+//! * sequential (`prove` / `check_exhaustive`) — the recording
+//!   reference; `prove` is also the paranoid *double-run*: one
 //!   monitored run plus one plain replay per (model, secret);
 //! * persistent `tp-sched` pools (`*_on`) — the production certified
 //!   single-run path, exercised at 1, 2 and 8 workers;
@@ -19,10 +19,9 @@
 //! therefore the same rendered reports.
 
 use tp_core::engine::{
-    check_exhaustive_parallel_mode, check_exhaustive_parallel_on, prove_parallel_mode,
-    prove_parallel_on, ProofMode, ScenarioMatrix,
+    check_exhaustive_parallel_on, prove_parallel_mode, prove_parallel_on, ProofMode, ScenarioMatrix,
 };
-use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig, ExhaustiveMode};
+use tp_core::exhaustive::{check_exhaustive, ExhaustiveConfig};
 use tp_core::noninterference::NiScenario;
 use tp_core::proof::{default_time_models, prove, ProofReport};
 use tp_hw::machine::MachineConfig;
@@ -125,19 +124,6 @@ fn prove_is_bit_identical_across_all_execution_paths() {
                     &sequential,
                     &pooled,
                     &format!("seed {seed} pool×{workers}"),
-                );
-                // The forced-recording single-run path (the
-                // pre-digest-first engine) must agree bit for bit.
-                let recorded = prove_parallel_mode(
-                    &pool,
-                    &seeded_scenario(seed, tp),
-                    &models,
-                    ProofMode::CertifiedRecording,
-                );
-                assert_reports_identical(
-                    &sequential,
-                    &recorded,
-                    &format!("seed {seed} certified-recording×{workers}"),
                 );
                 // The --replay-check audit path (paranoid double-run on
                 // the pool) must agree bit for bit too.
@@ -367,9 +353,10 @@ fn telemetry_sinks_never_change_reports_or_wire_records() {
     }
 }
 
-/// The sharded enumeration returns the sequential first witness: the
-/// lowest-index distinguishing program, with identical divergence data
-/// — on persistent pools of every size, digest-first and recording.
+/// The sharded digest-first enumeration returns the sequential
+/// recording checker's first witness: the lowest-index distinguishing
+/// program, with identical divergence data — on persistent pools of
+/// every size.
 #[test]
 fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
     for tp in [
@@ -389,11 +376,6 @@ fn exhaustive_matches_sequential_witness_across_all_execution_paths() {
             assert_eq!(
                 sequential, pooled,
                 "exhaustive verdict must be pool-size independent ({tp:?}, pool×{workers})"
-            );
-            let recorded = check_exhaustive_parallel_mode(&pool, &cfg, ExhaustiveMode::Recording);
-            assert_eq!(
-                sequential, recorded,
-                "recording scan must agree ({tp:?}, pool×{workers})"
             );
         }
     }
