@@ -15,7 +15,8 @@
 //! * `--models N` — use only the first `N` of the default time models.
 //! * `--replay-check` — re-enable the paranoid double-run per
 //!   (model, secret) instead of the certified single-run default: every
-//!   NI baseline comes from a plain replay, auditing the transparency
+//!   pair also gets a digest-only plain replay, and those replay
+//!   fingerprints are the NI baseline, auditing the transparency
 //!   certification. Reports are bit-identical to certified mode.
 //!
 //! * `--cache PATH` — back the sweep with the proof store: the

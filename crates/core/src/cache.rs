@@ -160,8 +160,10 @@ pub fn cell_key(
 }
 
 /// The entry checksum: an FNV fold over the entry's canonical wire
-/// bytes ([`write_cell_body`] with the index pinned to 0, so checksums
-/// are position-independent) plus its key, salt and fingerprint table.
+/// bytes (its [`crate::wire::write_cell`] record group without the
+/// trailing `cached`/`end` records, with the index pinned to 0, so
+/// checksums are position-independent) plus its key, salt and
+/// fingerprint table.
 ///
 /// This is an *integrity* check — it catches corruption, truncation,
 /// field-level tampering and stale-format drift, not an adversary who

@@ -15,8 +15,9 @@
 //!   as the NI baseline, with a single digest-only plain replay
 //!   certifying observation transparency — [`ProofMode`]), then merges
 //!   P/F/T evidence and verdicts in the exact lexicographic order the
-//!   sequential `prove` accumulates in, re-running only fingerprint-
-//!   diverging pairs with recording sinks for their witnesses.
+//!   sequential `prove` accumulates in, comparing `(len, digest)`
+//!   fingerprints and re-running only diverging pairs with recording
+//!   sinks, in lockstep, for their witnesses.
 //! * [`check_exhaustive_parallel`] — shards the program enumeration by
 //!   index blocks, each Hi-word digest-only against the cached baseline
 //!   fingerprint; a leak verdict is the *lowest-index* witness, which
@@ -39,14 +40,14 @@
 //! that panic at the first failed cell, after every earlier cell has
 //! streamed.
 //!
-//! Every driver has one production path and one recording oracle. The
-//! pooled proof drivers run [`ProofMode::Certified`] and are pinned
-//! against the sequential [`crate::proof::prove`] (and, at the matrix
-//! level, against [`ProofMode::ReplayCheck`], which compares recorded
-//! replay traces); the digest-first exhaustive scan is pinned against
-//! the recording [`crate::exhaustive::check_exhaustive`]. Each driver
-//! runs on the process-wide [`tp_sched::global`] pool or, in its `_on`
-//! variant, an explicit [`WorkerPool`].
+//! Every driver has one production path and one recording oracle. Both
+//! proof modes share the one fingerprint merge — they differ only in
+//! which plain replays they schedule — and are pinned against the
+//! sequential double-run [`crate::proof::prove`], which records and
+//! compares full traces; the digest-first exhaustive scan is pinned
+//! against the recording [`crate::exhaustive::check_exhaustive`]. Each
+//! driver runs on the process-wide [`tp_sched::global`] pool or, in its
+//! `_on` variant, an explicit [`WorkerPool`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,8 +59,8 @@ use crate::exhaustive::{
     ExhaustiveVerdict,
 };
 use crate::noninterference::{
-    compare_secret_digests, compare_secret_runs, lo_digest_len, lo_trace, lockstep_divergence,
-    run_monitored, MonitoredRun, NiScenario, NiVerdict, TransparencyCert,
+    compare_secret_digests, lo_digest_len, lockstep_leak, run_monitored, MonitoredRun, NiScenario,
+    TransparencyCert,
 };
 use crate::obligation::ObligationResult;
 use crate::proof::{ModelVerdict, ProofReport};
@@ -70,7 +71,7 @@ use tp_hw::clock::TimeModel;
 use tp_hw::machine::MachineConfig;
 use tp_hw::types::Cycles;
 use tp_kernel::config::{KernelConfig, Mechanism, TimeProtConfig};
-use tp_kernel::domain::{DomainId, ObsEvent};
+use tp_kernel::domain::DomainId;
 use tp_kernel::kernel::System;
 use tp_kernel::program::Instr;
 use tp_sched::{OrderedResults, WorkerPool};
@@ -82,23 +83,25 @@ pub use tp_sched::available_threads;
 // Proof sharding
 // ---------------------------------------------------------------------
 
-/// How the engine obtains the NI baseline evidence for a proof.
+/// How the engine obtains the NI baseline evidence for a proof. In both
+/// modes every (model, secret) pair gets one *trace-free* monitored run
+/// (the P/F/T evidence and a rolling `(len, digest)` fingerprint of
+/// Lo's observations), NI is decided on fingerprints, and only a
+/// fingerprint mismatch triggers a recording lockstep re-run of the
+/// offending pair to extract the replayable witness. The mode decides
+/// only which digest-only plain replays are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProofMode {
-    /// Digest-first certified single-run mode (the default): one
-    /// *trace-free* monitored run per (model, secret) provides the
-    /// P/F/T evidence and a rolling `(len, digest)` fingerprint of Lo's
-    /// observations — the NI baseline — plus a single digest-only plain
-    /// replay of the first pair whose digest certifies that monitoring
-    /// is observation-transparent ([`TransparencyCert`]). No run on the
-    /// hot path allocates per-event storage; only a fingerprint
-    /// mismatch triggers a recording re-run of the offending pair to
-    /// extract the replayable witness.
+    /// Certified single-run mode (the default): the monitored
+    /// fingerprints are the NI baseline, and a single plain replay of
+    /// the first pair certifies that monitoring is
+    /// observation-transparent ([`TransparencyCert`]).
     #[default]
     Certified,
     /// The paranoid audit mode (`--replay-check`): every (model,
-    /// secret) pair runs twice — monitored for P/F/T, plain for the NI
-    /// baseline — exactly like the sequential [`crate::proof::prove`].
+    /// secret) pair also gets a plain replay, and those replay
+    /// fingerprints are the NI baseline — the double run of the
+    /// sequential [`crate::proof::prove`], compared on fingerprints.
     /// Reports are bit-identical to certified mode whenever monitoring
     /// really is transparent, which is what the determinism harness
     /// pins.
@@ -106,9 +109,14 @@ pub enum ProofMode {
 }
 
 impl ProofMode {
-    /// Whether monitored runs execute trace-free (digest sinks).
-    fn digest_first(self) -> bool {
-        matches!(self, ProofMode::Certified)
+    /// How many of a proof's `runs` (model-major) get a plain replay,
+    /// counted from the first: one for the certificate, or all of them
+    /// for the replay-check baseline.
+    fn replays(self, runs: usize) -> usize {
+        match self {
+            ProofMode::Certified => 1,
+            ProofMode::ReplayCheck => runs,
+        }
     }
 }
 
@@ -133,70 +141,37 @@ struct ProofTask {
 }
 
 impl ProofTask {
-    /// The monitored run for this shard, trace-free or recording.
-    fn monitored(&self, digest_first: bool) -> MonitoredRun {
-        let mut sys = System::from_parts(&self.mcfg, &self.kcfg)
-            .expect("scenario construction must succeed for every secret");
-        if digest_first {
-            sys.use_digest_sinks();
-        }
-        run_monitored(sys, self.lo, self.budget, self.max_steps)
-    }
-
     /// A fresh recording system for this shard's configuration.
     fn build(&self) -> System {
         System::from_parts(&self.mcfg, &self.kcfg)
             .expect("scenario construction must succeed for every secret")
     }
 
-    /// Lockstep witness extraction against another shard of the same
-    /// model: both systems run (recording) only up to the first
-    /// diverging Lo event.
-    fn lockstep_leak(&self, other: &ProofTask, secret_a: u64, secret_b: u64) -> NiVerdict {
-        let span = tp_telemetry::span_start();
-        let (divergence, event_a, event_b) = lockstep_divergence(
-            self.build(),
-            other.build(),
-            self.lo,
-            self.budget,
-            self.max_steps,
-        )
-        .expect("a fingerprint mismatch implies a trace divergence");
-        if let Some(start) = span {
-            tp_telemetry::span(
-                SpanKind::Lockstep,
-                self.cell,
-                tp_sched::current_worker(),
-                start,
-            );
-        }
-        NiVerdict::Leak {
-            secret_a,
-            secret_b,
-            divergence,
-            event_a,
-            event_b,
-        }
+    /// The trace-free monitored run for this shard.
+    fn monitored(&self) -> MonitoredRun {
+        let mut sys = self.build();
+        sys.use_digest_sinks();
+        run_monitored(sys, self.lo, self.budget, self.max_steps)
     }
 }
 
-/// One unit of engine work: a monitored proof shard, or the single
-/// certification replay a certified-mode proof prepends.
+/// One unit of engine work: a monitored proof shard, or a digest-only
+/// plain replay of one (model, secret) pair.
 #[derive(Clone)]
 enum EngineTask {
-    /// Monitored run for one (model, secret) pair (both runs in
-    /// [`ProofMode::ReplayCheck`]).
+    /// Monitored run for one (model, secret) pair.
     Run(ProofTask),
-    /// The plain replay of the first (model, secret) pair whose digest
-    /// grounds the [`TransparencyCert`] (certified mode only).
-    CertReplay(ProofTask),
+    /// Plain replay of one (model, secret) pair: the first grounds the
+    /// [`TransparencyCert`], and in [`ProofMode::ReplayCheck`] every
+    /// pair's is its NI baseline.
+    Replay(ProofTask),
 }
 
 impl EngineTask {
     /// The matrix cell this task proves (telemetry attribution).
     fn cell(&self) -> usize {
         match self {
-            EngineTask::Run(t) | EngineTask::CertReplay(t) => t.cell,
+            EngineTask::Run(t) | EngineTask::Replay(t) => t.cell,
         }
     }
 }
@@ -209,23 +184,18 @@ struct ProofShard {
     steps: usize,
     /// Number of events in Lo's observation log.
     lo_len: usize,
-    /// The NI baseline trace: the plain replay trace in
-    /// [`ProofMode::ReplayCheck`]. `None` on the digest-first hot path,
-    /// where `(lo_len, monitored_digest)` is the baseline.
-    trace: Option<Vec<ObsEvent>>,
     /// Rolling digest of the monitored run's Lo trace, straight from
     /// the observation sink.
     monitored_digest: u64,
     /// Rolling chain of post-switch core digests.
     switch_digest: u64,
-    /// Digest of the shard's own plain replay (replay-check mode only).
-    replay_digest: Option<u64>,
 }
 
 /// What one [`EngineTask`] produced.
 enum TaskOutput {
     Run(Box<ProofShard>),
-    Cert(u64),
+    /// A plain replay's `(len, digest)` Lo fingerprint.
+    Replay(usize, u64),
 }
 
 /// One proof's flattened shard list: the engine tasks in submission
@@ -240,9 +210,9 @@ struct ProofBatch {
 }
 
 /// Flatten `scenario` × `models` into owned engine tasks, in the
-/// (model, secret) lexicographic order the merge consumes them in. In
-/// certified mode the certification replay leads the list so it
-/// overlaps the monitored runs on the pool. Kernel configurations are
+/// (model, secret) lexicographic order the merge consumes them in. The
+/// mode's plain replays lead the list so they overlap the monitored
+/// runs on the pool. Kernel configurations are
 /// built once per secret and `Arc`-shared across models; machines once
 /// per model, shared across secrets. `cell` is the matrix cell index
 /// the shards report telemetry under (0 for single-scenario drivers).
@@ -273,64 +243,45 @@ fn proof_tasks(
             });
         }
     }
-    let mut tasks = Vec::with_capacity(runs.len() + 1);
-    if mode != ProofMode::ReplayCheck {
-        tasks.push(EngineTask::CertReplay(runs[0].clone()));
-    }
+    let replays = mode.replays(runs.len());
+    let mut tasks = Vec::with_capacity(replays + runs.len());
+    tasks.extend(runs[..replays].iter().cloned().map(EngineTask::Replay));
     tasks.extend(runs.iter().cloned().map(EngineTask::Run));
     ProofBatch { tasks, runs }
 }
 
-/// Execute one engine task. A [`EngineTask::Run`] in certified mode is
-/// the single trace-free monitored run whose Lo fingerprint doubles as
-/// the NI baseline; in replay-check mode it is exactly the two runs the
-/// sequential driver performs — one monitored (P/F/T evidence) and one
-/// plain replay (the NI trace).
-fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
+/// Execute one engine task: the trace-free monitored run of a
+/// [`EngineTask::Run`], or the digest-only plain run of a
+/// [`EngineTask::Replay`]. Neither allocates per-event storage.
+fn run_engine_task(task: EngineTask) -> TaskOutput {
     // Chaos hook: `TP_FAULTS=…:task=panic@n` (containment) and
     // `task=delay:ms@n` (worker stall) land here, on the worker thread,
     // before any proof work. One lazily-armed atomic load when unused.
     crate::faultpoint::apply_inline("task");
     let worker = tp_sched::current_worker();
     match task {
-        // The certification replay never needs a trace: its digest
-        // comes straight from the replay system's sink.
-        EngineTask::CertReplay(t) => {
+        EngineTask::Replay(t) => {
             let span = tp_telemetry::span_start();
-            let digest = lo_digest_len(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps).1;
+            let (len, digest) = lo_digest_len(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps);
             if let Some(start) = span {
                 tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
             }
-            TaskOutput::Cert(digest)
+            TaskOutput::Replay(len, digest)
         }
         EngineTask::Run(t) => {
             let span = tp_telemetry::span_start();
-            let run = t.monitored(mode.digest_first());
+            let run = t.monitored();
             if let Some(start) = span {
                 tp_telemetry::span(SpanKind::Prove, t.cell, worker, start);
             }
-            let (trace, replay_digest) = match mode {
-                ProofMode::Certified => (None, None),
-                ProofMode::ReplayCheck => {
-                    let span = tp_telemetry::span_start();
-                    let replay = lo_trace(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps);
-                    if let Some(start) = span {
-                        tp_telemetry::span(SpanKind::Replay, t.cell, worker, start);
-                    }
-                    let digest = crate::noninterference::obs_digest(&replay);
-                    (Some(replay), Some(digest))
-                }
-            };
             TaskOutput::Run(Box::new(ProofShard {
                 p: run.p,
                 f: run.f,
                 t: run.t,
                 steps: run.steps,
                 lo_len: run.lo_len,
-                trace,
                 monitored_digest: run.lo_digest,
                 switch_digest: run.switch_digest,
-                replay_digest,
             }))
         }
     }
@@ -339,17 +290,13 @@ fn run_engine_task(task: EngineTask, mode: ProofMode) -> TaskOutput {
 /// Submit `tasks` to `pool` as one batch, each timed from submission
 /// to start as a `queue-wait` span; outputs stream back in submission
 /// order.
-fn submit_engine_tasks(
-    pool: &WorkerPool,
-    tasks: Vec<EngineTask>,
-    mode: ProofMode,
-) -> OrderedResults<TaskOutput> {
+fn submit_engine_tasks(pool: &WorkerPool, tasks: Vec<EngineTask>) -> OrderedResults<TaskOutput> {
     let queued = tp_telemetry::span_start();
     pool.map_streamed(tasks, move |_, t| {
         if let Some(q) = queued {
             tp_telemetry::span(SpanKind::QueueWait, t.cell(), tp_sched::current_worker(), q);
         }
-        run_engine_task(t, mode)
+        run_engine_task(t)
     })
 }
 
@@ -362,11 +309,14 @@ type Fingerprints = Vec<(u64, usize, u64)>;
 /// same verdicts, same violation order, same first witness, same step
 /// count, same transparency certificate.
 ///
-/// `runs` are the proof's (model, secret) inputs in the same
-/// model-major order: when a digest-first model's fingerprints
-/// disagree, the merge re-runs the offending pair with recording sinks
-/// to extract the witness — the only trace materialisation a
-/// digest-first proof ever performs.
+/// The stream leads with the mode's plain replays
+/// ([`ProofMode::replays`]), then one monitored shard per (model,
+/// secret). Each model's NI verdict compares `(len, digest)`
+/// fingerprints — the monitored ones, or in replay-check mode the
+/// replays'. `runs` are the proof's (model, secret) inputs in the same
+/// model-major order: when a model's fingerprints disagree, the merge
+/// re-runs the offending pair with recording sinks to extract the
+/// witness — the only trace materialisation a proof ever performs.
 ///
 /// Alongside the report, returns each run's
 /// `(secret, lo_len, monitored_digest)` observation fingerprint in
@@ -380,23 +330,23 @@ fn merge_proof_stream(
     runs: &[ProofTask],
     it: &mut impl Iterator<Item = TaskOutput>,
 ) -> (ProofReport, Fingerprints) {
-    let cert_replay = match mode {
-        ProofMode::Certified => match it.next() {
-            Some(TaskOutput::Cert(d)) => Some(d),
-            _ => panic!("certification replay must lead a certified proof stream"),
-        },
-        ProofMode::ReplayCheck => None,
-    };
+    let replays: Fingerprints = secrets
+        .iter()
+        .cycle()
+        .take(mode.replays(runs.len()))
+        .map(|&s| match it.next() {
+            Some(TaskOutput::Replay(len, digest)) => (s, len, digest),
+            _ => panic!("a proof stream leads with its plain replays"),
+        })
+        .collect();
     let mut p = ObligationResult::new("P");
     let mut f = ObligationResult::new("F");
     let mut t = ObligationResult::new("T");
     let mut ni = Vec::with_capacity(models.len());
     let mut steps = 0;
     let mut transparency: Option<TransparencyCert> = None;
-    let mut fps = Vec::with_capacity(models.len() * secrets.len());
+    let mut fps = Vec::with_capacity(runs.len());
     for (mi, model) in models.iter().enumerate() {
-        let mut traces: Vec<(u64, Vec<ObsEvent>)> = Vec::new();
-        let mut digests: Vec<(u64, usize, u64)> = Vec::new();
         for &s in secrets {
             let shard = match it.next() {
                 Some(TaskOutput::Run(s)) => *s,
@@ -410,32 +360,40 @@ fn merge_proof_stream(
             if transparency.is_none() {
                 transparency = Some(TransparencyCert {
                     monitored_digest: shard.monitored_digest,
-                    replay_digest: cert_replay
-                        .or(shard.replay_digest)
-                        .expect("certified or replay-check digest for the first shard"),
+                    replay_digest: replays[0].2,
                     switch_digest: shard.switch_digest,
                 });
             }
-            match shard.trace {
-                Some(trace) => traces.push((s, trace)),
-                None => digests.push((s, shard.lo_len, shard.monitored_digest)),
-            }
         }
-        let verdict = if digests.is_empty() {
-            compare_secret_runs(&traces)
-        } else {
-            compare_secret_digests(&digests).unwrap_or_else(|b| {
-                // Fingerprint divergence: lockstep re-run of the
-                // baseline and the offending secret with recording
-                // sinks, stopped at the first diverging event. Sinks
-                // (and the read-only monitors, per the transparency
-                // certification) cannot influence execution, so the
-                // extracted witness is exactly what the digest runs
-                // observed.
-                let model_runs = &runs[mi * secrets.len()..(mi + 1) * secrets.len()];
-                model_runs[0].lockstep_leak(&model_runs[b], secrets[0], secrets[b])
-            })
+        let pairs = mi * secrets.len()..(mi + 1) * secrets.len();
+        let baseline = match mode {
+            ProofMode::Certified => &fps[pairs.clone()],
+            ProofMode::ReplayCheck => &replays[pairs.clone()],
         };
+        let verdict = compare_secret_digests(baseline).unwrap_or_else(|b| {
+            // Fingerprint divergence: lockstep re-run of the baseline
+            // and the offending secret with recording sinks, stopped at
+            // the first diverging event. Sinks (and the read-only
+            // monitors, per the transparency certification) cannot
+            // influence execution, so the extracted witness is exactly
+            // what the digest runs observed.
+            let (a, other) = (&runs[pairs.start], &runs[pairs.start + b]);
+            let span = tp_telemetry::span_start();
+            let leak = lockstep_leak(
+                a.build(),
+                secrets[0],
+                other.build(),
+                secrets[b],
+                a.lo,
+                a.budget,
+                a.max_steps,
+            );
+            if let Some(start) = span {
+                let worker = tp_sched::current_worker();
+                tp_telemetry::span(SpanKind::Lockstep, a.cell, worker, start);
+            }
+            leak
+        });
         ni.push(ModelVerdict {
             model: *model,
             verdict,
@@ -511,7 +469,7 @@ pub fn prove_parallel_mode(
     check_proof_inputs(scenario, models);
     let aisa = check_conformance(&scenario.mcfg);
     let batch = proof_tasks(scenario, models, mode, 0);
-    let mut outputs = submit_engine_tasks(pool, batch.tasks, mode);
+    let mut outputs = submit_engine_tasks(pool, batch.tasks);
     merge_proof_stream(
         aisa,
         models,
@@ -918,7 +876,7 @@ impl ScenarioMatrix {
             tasks.extend(batch.tasks);
         }
 
-        let mut stream = submit_engine_tasks(pool, tasks, mode);
+        let mut stream = submit_engine_tasks(pool, tasks);
         let mut out = Vec::with_capacity(indices.len());
         for (ci, plan) in plans {
             let cell = &all[ci];
@@ -1086,76 +1044,6 @@ impl ScenarioMatrix {
             .collect();
         (proved, stats)
     }
-
-    /// NI-only matrix run on the process-wide pool: shard every cell's
-    /// per-secret run and compare Lo observations, without the
-    /// monitored P/F/T runs a full [`ScenarioMatrix::run`] performs.
-    /// Digest-first like [`crate::check_noninterference`]: every run is
-    /// trace-free, and only a fingerprint mismatch re-runs the
-    /// offending pair for the witness — each cell's verdict is
-    /// identical to `check_noninterference` on that cell's scenario
-    /// under the cell machine's own time model. This is the cheap
-    /// driver for sweeps that only need leak/no-leak answers, like the
-    /// E11 ablation table.
-    pub fn run_ni<F>(&self, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
-        self.run_ni_on(tp_sched::global(), make_scenario)
-    }
-
-    /// [`ScenarioMatrix::run_ni`] on an explicit pool.
-    pub fn run_ni_on<F>(&self, pool: &WorkerPool, make_scenario: F) -> Vec<(MatrixCell, NiVerdict)>
-    where
-        F: Fn(&MatrixCell) -> NiScenario,
-    {
-        // One digest-only run per (cell, secret), configs `Arc`-shared.
-        let cells = self.cells();
-        let mut counts = Vec::with_capacity(cells.len());
-        let mut runs = Vec::new();
-        for (ci, cell) in cells.iter().enumerate() {
-            let sc = apply_cell(make_scenario(cell), cell);
-            counts.push(sc.secrets.len());
-            let mcfg = Arc::new(sc.mcfg.clone());
-            for &secret in &sc.secrets {
-                let run = ProofTask {
-                    mcfg: Arc::clone(&mcfg),
-                    kcfg: Arc::new((sc.make_kcfg)(secret)),
-                    lo: sc.lo,
-                    budget: sc.budget,
-                    max_steps: sc.max_steps,
-                    cell: ci,
-                };
-                runs.push((secret, run));
-            }
-        }
-        let runs = Arc::new(runs);
-        let worker_runs = Arc::clone(&runs);
-        // Stream the fingerprints so cells merge — and any divergence
-        // re-runs execute — while the sweep's tail is still running on
-        // the pool.
-        let mut stream = pool.map_streamed((0..runs.len()).collect(), move |_, i| {
-            let (secret, t) = &worker_runs[i];
-            let (len, digest) = lo_digest_len(&t.mcfg, &t.kcfg, t.lo, t.budget, t.max_steps);
-            (*secret, len, digest)
-        });
-        let mut offset = 0;
-        let mut out = Vec::with_capacity(cells.len());
-        for (cell, n) in cells.into_iter().zip(counts) {
-            let fps: Fingerprints = stream.by_ref().take(n).collect();
-            let cell_runs = &runs[offset..offset + n];
-            offset += n;
-            // A fingerprint mismatch re-runs the offending pair in
-            // lockstep for its witness, exactly like a proof's merge.
-            let verdict = compare_secret_digests(&fps).unwrap_or_else(|b| {
-                cell_runs[0]
-                    .1
-                    .lockstep_leak(&cell_runs[b].1, fps[0].0, fps[b].0)
-            });
-            out.push((cell, verdict));
-        }
-        out
-    }
 }
 
 /// Look `cell` up in `cache`, counting the outcome in `stats` and
@@ -1303,8 +1191,8 @@ mod tests {
     /// even a callback that hardcodes full protection and ignores the
     /// cell gets leaking ablation cells.
     #[test]
-    fn run_ni_applies_cell_protection_despite_oblivious_callback() {
-        use crate::noninterference::check_noninterference;
+    fn run_on_applies_cell_protection_despite_oblivious_callback() {
+        use crate::noninterference::{check_noninterference, NiVerdict};
         use tp_kernel::config::{DomainSpec, KernelConfig};
         use tp_kernel::layout::data_addr;
         use tp_kernel::program::TraceProgram;
@@ -1343,8 +1231,14 @@ mod tests {
         };
 
         let matrix = ScenarioMatrix::new("base", MachineConfig::single_core())
-            .with_ablations(vec![None, Some(Mechanism::Padding)]);
-        let verdicts = matrix.run_ni(|_| make());
+            .with_ablations(vec![None, Some(Mechanism::Padding)])
+            .with_models(vec![MachineConfig::single_core().time_model]);
+        let report = matrix.run_on(&WorkerPool::new(2), |_| make());
+        let verdicts: Vec<(MatrixCell, NiVerdict)> = report
+            .cells
+            .into_iter()
+            .map(|(cell, proof)| (cell, proof.ni[0].verdict.clone()))
+            .collect();
         assert_eq!(verdicts.len(), 2);
         assert!(
             verdicts[0].1.passed(),

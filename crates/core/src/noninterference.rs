@@ -390,17 +390,12 @@ pub fn check_ni_parts(
     compare_secret_digests(&runs).unwrap_or_else(|b| {
         // Divergence: lockstep re-run of the offending pair, recording
         // sinks, stopped at the first diverging event.
-        lockstep_leak(
-            |s| {
-                System::from_parts(mcfg, &make_kcfg(s))
-                    .expect("scenario construction must succeed for every secret")
-            },
-            secrets[0],
-            secrets[b],
-            lo,
-            budget,
-            max_steps,
-        )
+        let build = |s| {
+            System::from_parts(mcfg, &make_kcfg(s))
+                .expect("scenario construction must succeed for every secret")
+        };
+        let (sa, sb) = (secrets[0], secrets[b]);
+        lockstep_leak(build(sa), sa, build(sb), sb, lo, budget, max_steps)
     })
 }
 
@@ -424,8 +419,7 @@ pub fn check_ni_parts_recording(
 }
 
 /// Build and run one system, returning Lo's observation log — the
-/// recording-mode unit of work: witness extraction, the paranoid
-/// `--replay-check` audit path, and the equivalence oracles.
+/// recording-mode unit of work of the equivalence oracles.
 pub fn lo_trace(
     mcfg: &MachineConfig,
     kcfg: &KernelConfig,
@@ -525,19 +519,20 @@ pub fn lockstep_divergence(
 }
 
 /// Materialise the [`NiVerdict::Leak`] for two secrets whose
-/// fingerprints diverged, by building both systems and running them in
-/// lockstep to the first diverging event.
+/// fingerprints diverged, from freshly built (recording) systems `a`
+/// and `b` for them, run in lockstep to the first diverging event. The
+/// one witness extractor of [`check_ni_parts`] and the engine's merge.
 pub(crate) fn lockstep_leak(
-    build: impl Fn(u64) -> System,
+    a: System,
     secret_a: u64,
+    b: System,
     secret_b: u64,
     lo: DomainId,
     budget: Cycles,
     max_steps: usize,
 ) -> NiVerdict {
-    let (divergence, event_a, event_b) =
-        lockstep_divergence(build(secret_a), build(secret_b), lo, budget, max_steps)
-            .expect("a fingerprint mismatch implies a trace divergence");
+    let (divergence, event_a, event_b) = lockstep_divergence(a, b, lo, budget, max_steps)
+        .expect("a fingerprint mismatch implies a trace divergence");
     NiVerdict::Leak {
         secret_a,
         secret_b,
@@ -548,8 +543,9 @@ pub(crate) fn lockstep_leak(
 }
 
 /// Compare per-secret observation logs (first run is the baseline) and
-/// produce the NI verdict. Shared by the recording-mode checker and the
-/// engine's `--replay-check` merge, so both report identical verdicts.
+/// produce the NI verdict — the recording oracles' comparison
+/// ([`check_ni_parts_recording`] and the sequential
+/// [`crate::proof::prove`]).
 pub fn compare_secret_runs(runs: &[(u64, Vec<ObsEvent>)]) -> NiVerdict {
     assert!(runs.len() >= 2, "need at least two secrets to compare");
     let (s0, ref base) = runs[0];

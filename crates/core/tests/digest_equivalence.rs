@@ -3,10 +3,11 @@
 //! same verdicts, same witnesses, same [`ProofReport`]s, bit for bit —
 //! over randomised configurations and secrets. This is the licence
 //! for comparing `(len, digest)` fingerprints in the hot loop and only
-//! materialising traces on divergence. The oracles: the sequential
-//! `check_ni_parts_recording`, `prove` and `check_exhaustive`, and at
-//! the matrix level the [`ProofMode::ReplayCheck`] sweep, which
-//! compares recorded replay traces.
+//! materialising traces on divergence. The oracles are the sequential
+//! recording checkers `check_ni_parts_recording`, `prove` and
+//! `check_exhaustive`; at the matrix level, the Certified and
+//! [`ProofMode::ReplayCheck`] sweeps are pinned to each other and to
+//! `prove` on every cell.
 //!
 //! The broken-mechanism cases additionally prove the divergence
 //! *re-run* reproduces the exact witness trace: the leak evidence a
@@ -177,9 +178,10 @@ fn exhaustive_digest_and_recording_agree_on_every_path() {
 
 /// The matrix-level pin: an E11-shaped ablation sweep (most cells
 /// leaking) proved digest-first equals the same sweep under
-/// `--replay-check`, whose NI baseline is recorded replay traces
-/// compared event by event — the leak-heavy regime where every cell
-/// exercises the divergence re-run path.
+/// `--replay-check`, whose NI baseline is every pair's plain replay
+/// fingerprint, and both equal the sequential recording `prove` on each
+/// cell's scenario — the leak-heavy regime where every cell exercises
+/// the divergence re-run path.
 #[test]
 fn ablation_matrix_reports_are_bit_identical_across_modes() {
     let models = default_time_models()[..1].to_vec();
@@ -195,6 +197,14 @@ fn ablation_matrix_reports_are_bit_identical_across_modes() {
     let recording = matrix(ProofMode::ReplayCheck).run_on(&pool, |_| scenario());
     assert_eq!(digest, recording);
     assert_eq!(digest.to_string(), recording.to_string());
+    // The recording oracle, cell by cell: the engine applies the cell's
+    // machine and forces its protection, which `seeded_scenario` takes
+    // as an argument.
+    for (cell, report) in &digest.cells {
+        let mut sc = seeded_scenario(3, cell.tp);
+        sc.mcfg = cell.mcfg.clone();
+        assert_eq!(report, &prove(&sc, &models), "{}", cell.label());
+    }
     assert!(
         digest
             .cells

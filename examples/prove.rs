@@ -23,9 +23,13 @@ fn main() {
     println!("{report}");
 
     println!("== Ablation: every mechanism is load-bearing (one matrix run) ==\n");
-    let matrix = ScenarioMatrix::new("canonical", tp_bench::canonical_machine()).sweep_ablations();
-    let ablations = matrix.run_ni(|cell| tp_bench::canonical_scenario(cell.disable));
-    for (cell, verdict) in &ablations {
+    let machine = tp_bench::canonical_machine();
+    let matrix = ScenarioMatrix::new("canonical", machine.clone())
+        .sweep_ablations()
+        .with_models(vec![machine.time_model]);
+    let ablations = matrix.run(|cell| tp_bench::canonical_scenario(cell.disable));
+    for (cell, proof) in &ablations.cells {
+        let verdict = &proof.ni[0].verdict;
         match cell.disable {
             Some(m) => println!("without {m:?}: {verdict}"),
             None => println!("with everything on: {verdict}"),
